@@ -10,10 +10,10 @@ the root. Built for graphs up to a few dozen vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, adjacency_masks, build, graph6_encode
-from .groups import PermGroup, inverse
+from .groups import PermGroup
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,8 @@ class CanonicalForm:
     certificate: bytes
     order: tuple[int, ...]  # order[p] = original vertex at canonical position p
     color_sizes: tuple[int, ...]
+    # Automorphisms harvested by the same search; elements close lazily.
+    group: PermGroup = field(compare=False, repr=False)
 
 
 def _mask(cell) -> int:
@@ -191,7 +193,8 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
     """
     cells = _normalize_cells(g, cells)
     if g.n == 0:
-        return CanonicalForm(build(0, []), graph6_encode(build(0, [])), (), ())
+        empty = build(0, [])
+        return CanonicalForm(empty, graph6_encode(empty), (), (), PermGroup(0, []))
     search = _Search(g, cells)
     lab = search.best[2]
     pos = [0] * g.n
@@ -199,7 +202,8 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
         pos[v] = p
     canon = build(g.n, [(pos[u], pos[v]) for u, v in g.edges])
     return CanonicalForm(
-        canon, graph6_encode(canon), lab, tuple(len(c) for c in cells)
+        canon, graph6_encode(canon), lab, tuple(len(c) for c in cells),
+        PermGroup(g.n, search.autos),
     )
 
 
@@ -228,8 +232,4 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 def automorphism_group(g: Graph, cells=None) -> PermGroup:
     """Automorphisms harvested from the canonical search, as a PermGroup."""
-    cells = _normalize_cells(g, cells)
-    if g.n == 0:
-        return PermGroup(0, [])
-    search = _Search(g, cells)
-    return PermGroup(g.n, search.autos)
+    return canonical_form(g, cells).group

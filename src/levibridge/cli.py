@@ -15,11 +15,9 @@ from .canon import automorphism_group, isomorphism
 from .construction import (
     BridgeSpec,
     StructureError,
-    bridge_join,
-    f_residue,
+    bridge_graph,
     goedgebeur_configuration,
     goedgebeur_graph,
-    mk_residue,
 )
 from .cuts import cyclic_edge_connectivity, is_essentially_4_edge_connected
 from .graphs import (
@@ -65,7 +63,7 @@ def _read_graphs(path: str | None) -> list[Graph]:
             text = fh.read()
     graphs = [graph6_decode(line) for line in text.splitlines() if line.strip()]
     if not graphs:
-        raise Graph6Error("no graph6 input lines found")
+        raise Graph6Error("no graph6 input lines found", 0)
     return graphs
 
 
@@ -76,30 +74,28 @@ def _emit_graph(g: Graph, labels: bool):
         print(json.dumps(table))
 
 
+# gen target -> (constructor, what its two arguments are; None if it takes none)
+_GENERATORS = {
+    "goedgebeur": (goedgebeur_graph, None),
+    "heawood": (heawood, None),
+    "pappus": (pappus, None),
+    "k33": (k33, None),
+    "gp": (lambda n, k: gp(int(n), int(k)), "two integers, e.g. gen gp 8 3"),
+    "bridge": (
+        lambda a, b: bridge_graph(BridgeSpec.from_strings(a, b)),
+        "two one-line permutations, e.g. gen bridge 2301 0123",
+    ),
+}
+
+
 def _cmd_gen(args) -> int:
-    what = args.what
-    if what == "goedgebeur":
-        _emit_graph(goedgebeur_graph(), args.labels)
-    elif what == "heawood":
-        _emit_graph(heawood(), args.labels)
-    elif what == "pappus":
-        _emit_graph(pappus(), args.labels)
-    elif what == "k33":
-        _emit_graph(k33(), args.labels)
-    elif what == "gp":
-        if len(args.rest) != 2:
-            raise ValueError("gen gp needs two integers, e.g. gen gp 8 3")
-        _emit_graph(gp(int(args.rest[0]), int(args.rest[1])), args.labels)
-    elif what == "bridge":
-        if len(args.rest) != 2:
-            raise ValueError(
-                "gen bridge needs two one-line permutations, e.g. gen bridge 2301 0123"
-            )
-        spec = BridgeSpec.from_strings(args.rest[0], args.rest[1])
-        _, g = bridge_join(f_residue(), mk_residue(), spec)
-        _emit_graph(g, args.labels)
+    make, needs = _GENERATORS[args.what]
+    if needs is None:
+        _emit_graph(make(), args.labels)
+    elif len(args.rest) != 2:
+        raise ValueError(f"gen {args.what} needs {needs}")
     else:
-        raise ValueError(f"unknown generator {what!r}")
+        _emit_graph(make(*args.rest), args.labels)
     return 0
 
 
@@ -204,8 +200,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a named graph or a bridge join")
-    p.add_argument("what", choices=["goedgebeur", "heawood", "pappus", "k33",
-                                    "gp", "bridge"])
+    p.add_argument("what", choices=list(_GENERATORS))
     p.add_argument("rest", nargs="*")
     p.add_argument("--labels", action="store_true",
                    help="also print the vertex label table as JSON")
@@ -255,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Graph6Error as exc:
+    except (Graph6Error, OSError) as exc:
         print(f"levibridge: input error: {exc}", file=sys.stderr)
         return 1
     except (StructureError, GraphError, GroupError, ConfigurationError) as exc:

@@ -16,13 +16,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .canon import automorphism_group, canonical_form
-from .graphs import Graph, bipartition, build, girth, is_cubic
+from .canon import CanonicalForm, canonical_form
+from .graphs import Graph, adjacency_masks, bfs_layers, bipartition, girth, is_cubic
 from .incidence import (
     Configuration,
     ConfigurationError,
     configuration,
     fano,
+    levi_graph,
     moebius_kantor,
 )
 
@@ -227,16 +228,6 @@ def f_residue() -> Residue:
     )
 
 
-# Vertex layout of a joined Levi graph.
-F_POINTS = tuple(range(0, 7))
-MK_POINTS = tuple(range(7, 15))
-F_LINES = tuple(range(15, 22))
-MK_LINES = tuple(range(22, 30))
-_MK_POINT_OFFSET = 7
-_F_LINE_OFFSET = 15
-_MK_LINE_OFFSET = 22
-
-
 def bridge_join(
     f: Residue, mk: Residue, spec: BridgeSpec
 ) -> tuple[Configuration, Graph]:
@@ -281,8 +272,6 @@ def bridge_join(
                 break
         raise BridgeError(f"invalid bridge {spec}: {exc}", violating_pair=pair) from exc
 
-    from .incidence import levi_graph
-
     g, _ = levi_graph(config)
     if not (g.n == 30 and len(g.edges) == 45 and is_cubic(g)):
         raise StructureError(f"join {spec} is not a cubic graph on 30 vertices")
@@ -319,14 +308,16 @@ def bridge_census() -> tuple[CensusClass, ...]:
     ascending class size, then certificate bytes; specs inside a class stay
     in rank order.
     """
+    first: dict[bytes, CanonicalForm] = {}
     groups: dict[bytes, list[BridgeSpec]] = {}
     for spec in all_bridge_specs():
-        cert = canonical_form(bridge_graph(spec)).certificate
-        groups.setdefault(cert, []).append(spec)
-    classes = []
-    for cert, specs in groups.items():
-        aut = automorphism_group(bridge_graph(specs[0])).order
-        classes.append(CensusClass(cert, aut, tuple(specs)))
+        cf = canonical_form(bridge_graph(spec))
+        first.setdefault(cf.certificate, cf)
+        groups.setdefault(cf.certificate, []).append(spec)
+    classes = [
+        CensusClass(cert, first[cert].group.order, tuple(specs))
+        for cert, specs in groups.items()
+    ]
     return tuple(
         sorted(classes, key=lambda c: (-c.aut_order, len(c.specs), c.certificate))
     )
@@ -398,23 +389,14 @@ class MarkedEdges:
 
 
 def _distance_matrix(g: Graph) -> list[list[int]]:
-    masks = {v: set() for v in range(g.n)}
-    for u, v in g.edges:
-        masks[u].add(v)
-        masks[v].add(u)
+    adj = adjacency_masks(g)
     dist = []
     for start in range(g.n):
         row = [-1] * g.n
-        row[start] = 0
-        queue = [start]
-        while queue:
-            nxt = []
-            for v in queue:
-                for u in masks[v]:
-                    if row[u] < 0:
-                        row[u] = row[v] + 1
-                        nxt.append(u)
-            queue = nxt
+        for d, layer in enumerate(bfs_layers(adj, start)):
+            for v in range(g.n):
+                if layer >> v & 1:
+                    row[v] = d
         dist.append(row)
     return dist
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, adjacency_masks, is_cubic
+from .graphs import Graph, GraphError, adjacency_masks, components, is_cubic
 
 _CHORDLESS_CAP = 9  # see cyclic_edge_connectivity for why this is exhaustive
 
@@ -26,38 +26,9 @@ class CutCertificate:
     kind: str  # "trivial", "non-trivial" or "cyclic"
 
 
-def _is_connected(masks: list[int], n: int) -> bool:
-    seen = 1
-    queue = [0]
-    while queue:
-        v = queue.pop()
-        new = masks[v] & ~seen
-        seen |= new
-        while new:
-            u = (new & -new).bit_length() - 1
-            new &= new - 1
-            queue.append(u)
-    return seen == (1 << n) - 1
-
-
-def _components(masks: list[int], n: int) -> list[int]:
-    left = (1 << n) - 1
-    comps = []
-    while left:
-        start = (left & -left).bit_length() - 1
-        seen = 1 << start
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            new = masks[v] & ~seen
-            seen |= new
-            while new:
-                u = (new & -new).bit_length() - 1
-                new &= new - 1
-                queue.append(u)
-        comps.append(seen)
-        left &= ~seen
-    return comps
+def _is_connected(masks) -> bool:
+    """A graph with no vertices counts as disconnected."""
+    return len(components(masks)) == 1
 
 
 def _bits(mask: int) -> frozenset[int]:
@@ -94,7 +65,7 @@ def is_essentially_4_edge_connected(g: Graph) -> tuple[bool, CutCertificate | No
     base = adjacency_masks(g)
     if not is_cubic(g):
         raise GraphError("essential 4-edge-connectivity needs a cubic graph")
-    if not _is_connected(base, g.n):
+    if not _is_connected(base):
         raise GraphError("essential 4-edge-connectivity needs a connected graph")
     for size in (1, 2, 3):
         for subset in itertools.combinations(g.edges, size):
@@ -102,9 +73,9 @@ def is_essentially_4_edge_connected(g: Graph) -> tuple[bool, CutCertificate | No
             for u, v in subset:
                 masks[u] &= ~(1 << v)
                 masks[v] &= ~(1 << u)
-            if _is_connected(masks, g.n):
+            comps = components(masks)
+            if len(comps) == 1:
                 continue
-            comps = _components(masks, g.n)
             assert len(comps) == 2, "smaller disconnecting subset was missed"
             side_a, side_b = sorted((_bits(c) for c in comps), key=min)
             kind = _cut_kind(g, side_a, side_b)
@@ -218,7 +189,7 @@ def cyclic_edge_connectivity(g: Graph) -> int | None:
         raise GraphError("cyclic edge connectivity needs a cubic graph")
     if g.n > 40:
         raise GraphError("cyclic edge connectivity is implemented for at most 40 vertices")
-    if not _is_connected(adjacency_masks(g), g.n):
+    if not _is_connected(adjacency_masks(g)):
         raise GraphError("cyclic edge connectivity needs a connected graph")
     cycles = [(c, frozenset(c)) for c in _chordless_cycles(g, _CHORDLESS_CAP)]
     pairs = [

@@ -37,23 +37,9 @@ class Graph:
     def __hash__(self):
         return hash((self.n, self.edges))
 
-    def degree(self, v: int) -> int:
-        return adjacency_masks(self)[v].bit_count()
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         m = adjacency_masks(self)[v]
         return tuple(u for u in range(self.n) if m >> u & 1)
-
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    def relabel(self, perm: tuple[int, ...]) -> "Graph":
-        """Apply vertex map v -> perm[v]; labels follow their vertices."""
-        edges = [(perm[u], perm[v]) for u, v in self.edges]
-        labels = None
-        if self.labels is not None:
-            labels = {perm[v]: s for v, s in self.labels.items()}
-        return build(self.n, edges, labels)
 
 
 def build(n: int, edges, labels: dict[int, str] | None = None) -> Graph:
@@ -90,6 +76,37 @@ def is_cubic(g: Graph) -> bool:
     return all(m.bit_count() == 3 for m in adjacency_masks(g))
 
 
+def bfs_layers(adj, root: int):
+    """Yield the breadth-first layers around root as vertex bitmasks.
+
+    adj holds one neighbor bitmask per vertex; layer d is the set of
+    vertices at distance exactly d from root, starting with {root}.
+    """
+    layer = seen = 1 << root
+    while layer:
+        yield layer
+        reach = 0
+        while layer:
+            low = layer & -layer
+            reach |= adj[low.bit_length() - 1]
+            layer ^= low
+        layer = reach & ~seen
+        seen |= layer
+
+
+def components(adj) -> list[int]:
+    """Vertex bitmasks of the connected components, by least vertex."""
+    left = (1 << len(adj)) - 1
+    comps = []
+    while left:
+        comp = 0
+        for layer in bfs_layers(adj, (left & -left).bit_length() - 1):
+            comp |= layer
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
 @dataclass(frozen=True)
 class Bipartition:
     side_a: frozenset[int]
@@ -97,59 +114,55 @@ class Bipartition:
 
 
 def bipartition(g: Graph) -> Bipartition | None:
-    """2-color by BFS, component roots going to side A. None if odd cycle."""
+    """2-color by BFS layers: even layers of each component go to side A,
+    odd layers to side B, so each component's least vertex lands in A.
+    None if an edge joins two vertices of one side (an odd cycle).
+    """
     adj = adjacency_masks(g)
-    color = [-1] * g.n
-    for root in range(g.n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            m = adj[v]
-            while m:
-                u = (m & -m).bit_length() - 1
-                m &= m - 1
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    side_a = frozenset(v for v in range(g.n) if color[v] == 0)
-    return Bipartition(side_a, frozenset(range(g.n)) - side_a)
+    side_a = side_b = 0
+    for comp in components(adj):
+        for d, layer in enumerate(bfs_layers(adj, (comp & -comp).bit_length() - 1)):
+            if d % 2:
+                side_b |= layer
+            else:
+                side_a |= layer
+    if any(adj[v] & (side_a if side_a >> v & 1 else side_b) for v in range(g.n)):
+        return None
+    return Bipartition(
+        frozenset(v for v in range(g.n) if side_a >> v & 1),
+        frozenset(v for v in range(g.n) if side_b >> v & 1),
+    )
 
 
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle via BFS from every vertex; None if acyclic.
 
-    A BFS from r sees a cycle when an edge joins two visited vertices; the
-    cycle through r has length d[u] + d[v] + 1 for a non-tree edge (u, v).
-    Taking the minimum over all roots is exact.
+    In the BFS layers around r, a layer-d vertex with two neighbors in layer
+    d-1 closes a cycle of length at most 2d, and an edge inside layer d one
+    of length at most 2d+1. Rooted on a shortest cycle, the first such layer
+    gives its exact length, so the minimum over all roots is exact.
     """
     adj = adjacency_masks(g)
     best = None
     for root in range(g.n):
-        dist = {root: 0}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                m = adj[v]
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-                    elif dist[u] >= dist[v]:
-                        # Non-tree edge; bounds the shortest cycle through root.
-                        cand = dist[u] + dist[v] + 1
-                        if best is None or cand < best:
-                            best = cand
-            if best is not None and frontier and 2 * dist[frontier[0]] >= best:
+        prev = 0
+        for d, layer in enumerate(bfs_layers(adj, root)):
+            if best is not None and 2 * d >= best:
                 break
-            frontier = nxt
+            cand = None
+            m = layer
+            while m:
+                v = (m & -m).bit_length() - 1
+                m &= m - 1
+                if (adj[v] & prev).bit_count() > 1:
+                    cand = 2 * d
+                    break
+                if adj[v] & layer:
+                    cand = 2 * d + 1
+            if cand is not None:
+                best = cand
+                break
+            prev = layer
     return best
 
 
@@ -280,7 +293,10 @@ def graph6_encode(g: Graph) -> bytes:
 def graph6_decode(data: bytes | str) -> Graph:
     """Decode one graph6 line. Labels are not part of the format."""
     if isinstance(data, str):
-        data = data.encode("ascii")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6Error("non-ASCII character in graph6 input", exc.start) from None
     data = data.rstrip(b"\r\n")
     if data.startswith(b">>graph6<<"):
         data = data[10:]

@@ -109,12 +109,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p) -> bool:
-        return tuple(p) in self.elements
-
-    def __iter__(self):
-        return iter(sorted(self.elements))
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 

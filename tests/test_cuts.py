@@ -82,6 +82,8 @@ class TestCyclicEdgeConnectivity:
                 build(8, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3),
                           (4, 5), (4, 6), (5, 6), (4, 7), (5, 7), (6, 7)])
             )  # disconnected
+        with pytest.raises(GraphError):
+            cyclic_edge_connectivity(build(0, []))  # no vertices
 
 
 class TestEssentially4EdgeConnected:
@@ -115,3 +117,5 @@ class TestEssentially4EdgeConnected:
     def test_preconditions(self):
         with pytest.raises(GraphError):
             is_essentially_4_edge_connected(cycle(6))
+        with pytest.raises(GraphError):
+            is_essentially_4_edge_connected(build(0, []))  # no vertices

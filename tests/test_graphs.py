@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from levibridge.graphs import (
     Graph6Error,
     GraphError,
+    adjacency_masks,
+    bfs_layers,
     bipartition,
     build,
     cycle,
@@ -84,6 +86,9 @@ class TestGraph6:
             graph6_decode(b"E\x01z_")
         with pytest.raises(Graph6Error):
             graph6_decode(b"EFz")  # truncated body
+        with pytest.raises(Graph6Error) as err:
+            graph6_decode("A\u00e9")  # non-ASCII text
+        assert err.value.offset == 1
 
     def test_decode_accepts_prefix(self):
         assert graph6_decode(b">>graph6<<EFz_") == k33()
@@ -117,12 +122,37 @@ def _girth_oracle(g):
     return None if value == float("inf") else value
 
 
+def _check_bipartition(g):
+    """bipartition against networkx, plus the side rule: a proper 2-coloring
+    with the least vertex of every component on side A."""
+    h = _to_nx(g)
+    sides = bipartition(g)
+    assert (sides is not None) == nx.is_bipartite(h)
+    if sides is None:
+        return False
+    assert sides.side_a | sides.side_b == frozenset(range(g.n))
+    assert not sides.side_a & sides.side_b
+    for u, v in g.edges:
+        assert (u in sides.side_a) != (v in sides.side_a)
+    for comp in nx.connected_components(h):
+        assert min(comp) in sides.side_a
+    return True
+
+
 class TestGirth:
     def test_against_networkx_oracle(self):
         rng = random.Random(7)
+        bipartite = 0
         for _ in range(80):
             g = _random_graph(rng, rng.randint(3, 14))
             assert girth(g) == _girth_oracle(g)
+            bipartite += _check_bipartition(g)
+            for root in range(g.n):
+                dist = {}
+                for d, layer in enumerate(bfs_layers(adjacency_masks(g), root)):
+                    dist.update((v, d) for v in range(g.n) if layer >> v & 1)
+                assert dist == nx.single_source_shortest_path_length(_to_nx(g), root)
+        assert bipartite > 0
 
     def test_known_girths(self):
         assert girth(k33()) == 4

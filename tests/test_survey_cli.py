@@ -268,6 +268,17 @@ class TestCli:
         out = _cli("props", stdin="not-a-graph6-line\n")
         assert out.returncode == 1
 
+    def test_unreadable_input_exits_1(self, tmp_path, capsys):
+        # In-process: an input error fails before any census work.
+        from levibridge.cli import main
+
+        assert main(["props", str(tmp_path / "missing.g6")]) == 1
+        assert "levibridge: input error:" in capsys.readouterr().err
+        empty = tmp_path / "empty.g6"
+        empty.write_text("\n")
+        assert main(["props", str(empty)]) == 1
+        assert "no graph6 input lines" in capsys.readouterr().err
+
     def test_structural_error_exits_2(self):
         # p2fi on a non-cubic graph is a structural failure, not usage.
         from levibridge.graphs import cycle
