@@ -59,7 +59,8 @@ def _read_graphs(path: str | None) -> list[Graph]:
     if path in (None, "-"):
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="ascii") as fh:
+        # surrogateescape lets graph6_decode name the offset of a non-ASCII byte
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
     graphs = [graph6_decode(line) for line in text.splitlines() if line.strip()]
     if not graphs:
@@ -90,12 +91,9 @@ _GENERATORS = {
 
 def _cmd_gen(args) -> int:
     make, needs = _GENERATORS[args.what]
-    if needs is None:
-        _emit_graph(make(), args.labels)
-    elif len(args.rest) != 2:
-        raise ValueError(f"gen {args.what} needs {needs}")
-    else:
-        _emit_graph(make(*args.rest), args.labels)
+    if len(args.rest) != (0 if needs is None else 2):
+        raise ValueError(f"gen {args.what} takes {needs or 'no arguments'}")
+    _emit_graph(make(*args.rest), args.labels)
     return 0
 
 
@@ -181,12 +179,12 @@ def _cmd_config(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    text = survey_json(run_survey(p2fi=args.p2fi))
-    if args.json_path:
-        with open(args.json_path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not args.json_path:
+        sys.stdout.write(survey_json(run_survey(p2fi=args.p2fi)))
+        return 0
+    # open the output first so a bad path fails before the census runs
+    with open(args.json_path, "w", encoding="ascii") as fh:
+        fh.write(survey_json(run_survey(p2fi=args.p2fi)))
     return 0
 
 

@@ -5,7 +5,9 @@ A cut is *trivial* when one side is a single vertex, and *cyclic* when both
 sides contain a cycle. The cyclic edge connectivity is the minimum size of a
 cut whose removal leaves two components that each contain a cycle; it is
 reported as None when no such cut exists (the graph has no pair of
-vertex-disjoint cycles).
+vertex-disjoint cycles). Both questions are answered by maximum flows
+between contracted vertex sets: edges for the first, chordless cycles for
+the second.
 """
 
 from __future__ import annotations
@@ -26,19 +28,6 @@ class CutCertificate:
     kind: str  # "trivial", "non-trivial" or "cyclic"
 
 
-def _is_connected(masks) -> bool:
-    """A graph with no vertices counts as disconnected."""
-    return len(components(masks)) == 1
-
-
-def _bits(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        out.add((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return frozenset(out)
-
-
 def _side_has_cycle(g: Graph, side: frozenset[int]) -> bool:
     inside = sum(1 for u, v in g.edges if u in side and v in side)
     return inside >= len(side)
@@ -50,39 +39,6 @@ def _cut_kind(g: Graph, side_a: frozenset[int], side_b: frozenset[int]) -> str:
     if _side_has_cycle(g, side_a) and _side_has_cycle(g, side_b):
         return "cyclic"
     return "non-trivial"
-
-
-def is_essentially_4_edge_connected(g: Graph) -> tuple[bool, CutCertificate | None]:
-    """True when every edge cut of size at most 3 is trivial.
-
-    Scans the edge subsets of sizes 1, 2, 3 in lexicographic order and
-    returns the first non-trivial cut found as a certificate. In a connected
-    cubic graph the first subset whose removal disconnects the graph always
-    leaves exactly two components: if a removal left three or more, dropping
-    the subset edges incident to one spare component would give a smaller
-    disconnecting subset, already visited.
-    """
-    base = adjacency_masks(g)
-    if not is_cubic(g):
-        raise GraphError("essential 4-edge-connectivity needs a cubic graph")
-    if not _is_connected(base):
-        raise GraphError("essential 4-edge-connectivity needs a connected graph")
-    for size in (1, 2, 3):
-        for subset in itertools.combinations(g.edges, size):
-            masks = list(base)
-            for u, v in subset:
-                masks[u] &= ~(1 << v)
-                masks[v] &= ~(1 << u)
-            comps = components(masks)
-            if len(comps) == 1:
-                continue
-            assert len(comps) == 2, "smaller disconnecting subset was missed"
-            side_a, side_b = sorted((_bits(c) for c in comps), key=min)
-            kind = _cut_kind(g, side_a, side_b)
-            if kind == "trivial":
-                continue
-            return False, CutCertificate(subset, side_a, side_b, kind)
-    return True, None
 
 
 def _chordless_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
@@ -123,11 +79,13 @@ def _chordless_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
 
 
 def _min_cut_between(g: Graph, side_s: frozenset[int], side_t: frozenset[int],
-                     stop_at: int | None) -> int:
+                     stop_at: int | None) -> tuple[int, frozenset[int] | None]:
     """Minimum edge cut separating two contracted vertex sets (Edmonds-Karp).
 
     Stops early once the flow reaches `stop_at`, since the caller only keeps
-    strictly smaller values.
+    strictly smaller values, and then returns (stop_at, None). Otherwise it
+    returns the minimum cut size together with the vertices the last search
+    reached: the source side of a minimum cut, containing `side_s`.
     """
     ids: dict[int, int] = {}
     nxt = 2  # 0 = contracted source side, 1 = contracted sink side
@@ -157,7 +115,7 @@ def _min_cut_between(g: Graph, side_s: frozenset[int], side_t: frozenset[int],
                     parent[y] = x
                     queue.append(y)
         if 1 not in parent:
-            return flow
+            return flow, frozenset(v for v in range(g.n) if ids[v] in parent)
         y = 1
         while y != 0:
             x = parent[y]
@@ -165,7 +123,40 @@ def _min_cut_between(g: Graph, side_s: frozenset[int], side_t: frozenset[int],
             cap[y][x] = cap[y].get(x, 0) + 1
             y = x
         flow += 1
-    return flow
+    return flow, None
+
+
+def is_essentially_4_edge_connected(g: Graph) -> tuple[bool, CutCertificate | None]:
+    """True when every edge cut of size at most 3 is trivial.
+
+    In a cubic graph a side with k >= 2 vertices and c <= 3 boundary edges
+    spans (3k - c)/2 >= k edges, so both sides of a non-trivial cut of at
+    most 3 edges hold a cycle. The sides of a minimum such cut are connected,
+    so one holds vertex 0 and a neighbour x, the other some edge f. Hence
+    the graph is essentially 4-edge-connected exactly when, for each of the
+    3 edges {0, x} and every edge f disjoint from it, the maximum flow
+    between the two contracted edges is at least 4; a flow below 4 separates
+    two sets of at least 2 vertices, a non-trivial cut.
+
+    The certificate is the first such cut found, with vertex 0 in `side_a`:
+    a "cyclic" cut of at most 3 edges whose removal leaves exactly its two
+    connected sides, though not always the smallest such cut.
+    """
+    if not is_cubic(g):
+        raise GraphError("essential 4-edge-connectivity needs a cubic graph")
+    if len(components(adjacency_masks(g))) != 1:  # no vertices counts as disconnected
+        raise GraphError("essential 4-edge-connectivity needs a connected graph")
+    for x in g.neighbors(0):
+        for f in g.edges:
+            if 0 in f or x in f:
+                continue
+            _, side_a = _min_cut_between(g, frozenset((0, x)), frozenset(f), 4)
+            if side_a is not None:
+                side_b = frozenset(range(g.n)) - side_a
+                cut = tuple(e for e in g.edges if (e[0] in side_a) != (e[1] in side_a))
+                return False, CutCertificate(cut, side_a, side_b,
+                                             _cut_kind(g, side_a, side_b))
+    return True, None
 
 
 def cyclic_edge_connectivity(g: Graph) -> int | None:
@@ -189,7 +180,7 @@ def cyclic_edge_connectivity(g: Graph) -> int | None:
         raise GraphError("cyclic edge connectivity needs a cubic graph")
     if g.n > 40:
         raise GraphError("cyclic edge connectivity is implemented for at most 40 vertices")
-    if not _is_connected(adjacency_masks(g)):
+    if len(components(adjacency_masks(g))) != 1:
         raise GraphError("cyclic edge connectivity needs a connected graph")
     cycles = [(c, frozenset(c)) for c in _chordless_cycles(g, _CHORDLESS_CAP)]
     pairs = [
@@ -202,7 +193,7 @@ def cyclic_edge_connectivity(g: Graph) -> int | None:
     pairs.sort(key=lambda p: p[2])
     best: int | None = None
     for side_s, side_t, _ in pairs:
-        value = _min_cut_between(g, side_s, side_t, best)
+        value, _ = _min_cut_between(g, side_s, side_t, best)
         if best is None or value < best:
             best = value
     return best

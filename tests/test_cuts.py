@@ -2,10 +2,13 @@
 
 The oracle for cyclic edge connectivity is pure brute force: try every edge
 subset in size order and accept the first whose removal leaves two parts
-that each contain a cycle.
+that each contain a cycle. The oracle for essential 4-edge-connectivity is
+brute force too: try every set of at most 3 edges and look for a component
+with at least 2 vertices on each side.
 """
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -50,6 +53,65 @@ def _brute_force_cyclic_connectivity(g, max_k: int):
     return None
 
 
+def _brute_force_has_nontrivial_small_cut(g) -> bool:
+    """Some set of <= 3 edges leaves a component C with 2 <= |C| <= n - 2."""
+    base = nx.Graph()
+    base.add_nodes_from(range(g.n))
+    base.add_edges_from(g.edges)
+    for k in (1, 2, 3):
+        for subset in itertools.combinations(g.edges, k):
+            h = base.copy()
+            h.remove_edges_from(subset)
+            if any(2 <= len(c) <= g.n - 2 for c in nx.connected_components(h)):
+                return True
+    return False
+
+
+def _random_cubic(rng, n):
+    """Edge list of a connected random cubic graph on n vertices."""
+    while True:
+        h = nx.random_regular_graph(3, n, seed=rng.randrange(2**32))
+        if nx.is_connected(h):
+            return list(h.edges())
+
+
+def _joined(rng, cut_size, n1, n2):
+    """Two random cubic graphs joined across a bridge, a 2-edge or a 3-edge cut."""
+    e1 = _random_cubic(rng, n1)
+    e2 = [(u + n1, v + n1) for u, v in _random_cubic(rng, n2)]
+    if cut_size == 3:  # delete one vertex per side, match up their neighbours
+        a, b = rng.randrange(n1), n1 + rng.randrange(n2)
+        na = [u for e in e1 if a in e for u in e if u != a]
+        nb = [u for e in e2 if b in e for u in e if u != b]
+        edges = [e for e in e1 + e2 if a not in e and b not in e] + list(zip(na, nb))
+        dense = {u: i for i, u in enumerate(sorted({u for e in edges for u in e}))}
+        return n1 + n2 - 2, [(dense[u], dense[v]) for u, v in edges]
+    x = e1.pop(rng.randrange(len(e1)))
+    y = e2.pop(rng.randrange(len(e2)))
+    if cut_size == 2:
+        return n1 + n2, e1 + e2 + [(x[0], y[0]), (x[1], y[1])]
+    s, t = n1 + n2, n1 + n2 + 1  # bridge between two subdivision vertices
+    return n1 + n2 + 2, e1 + e2 + [(x[0], s), (x[1], s), (y[0], t), (y[1], t), (s, t)]
+
+
+def _oracle_graphs():
+    """Seeded, randomly relabelled connected cubic graphs on at most 14 vertices."""
+    rng = random.Random(20220)
+    specs = [(n, _random_cubic(rng, n)) for n in (6, 8, 10, 12, 14) for _ in range(4)]
+    specs += [(g.n, list(g.edges)) for g in (complete(4), k33(), petersen(), gp(6, 2),
+                                             gp(7, 2), heawood())]
+    for cut_size, sizes in ((1, [(4, 4), (4, 6), (6, 6), (4, 8)]),
+                            (2, [(4, 4), (4, 6), (6, 6), (4, 8), (6, 8), (4, 10)]),
+                            (3, [(4, 4), (4, 6), (6, 6), (6, 8), (8, 8), (4, 8)])):
+        for n1, n2 in sizes:
+            for _ in range(2):
+                specs.append(_joined(rng, cut_size, n1, n2))
+    for n, edges in specs:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        yield build(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 class TestCyclicEdgeConnectivity:
     def test_petersen_matches_brute_force(self):
         assert cyclic_edge_connectivity(petersen()) == 5
@@ -88,7 +150,7 @@ class TestCyclicEdgeConnectivity:
 
 class TestEssentially4EdgeConnected:
     def test_k4_and_k33_hold(self):
-        for g in (complete(4), k33(), petersen(), heawood(), pappus()):
+        for g in (complete(4), k33(), petersen(), heawood(), pappus(), gp(60, 1)):
             ok, cert = is_essentially_4_edge_connected(g)
             assert ok and cert is None
 
@@ -109,6 +171,30 @@ class TestEssentially4EdgeConnected:
         for u, v in prism().edges:
             if (u, v) in cut:
                 assert (u in cert.side_a) != (v in cert.side_a)
+
+    def test_matches_brute_force_with_valid_certificates(self):
+        total = failures = triangle_at_0 = 0
+        for g in _oracle_graphs():
+            total += 1
+            ok, cert = is_essentially_4_edge_connected(g)
+            assert ok == (not _brute_force_has_nontrivial_small_cut(g))
+            if ok:
+                assert cert is None
+                continue
+            failures += 1
+            nbrs = g.neighbors(0)
+            triangle_at_0 += any((u, v) in g.edges for u in nbrs for v in nbrs)
+            crossing = {(u, v) for u, v in g.edges if (u in cert.side_a) != (v in cert.side_a)}
+            assert set(cert.cut) == crossing and len(cert.cut) <= 3
+            assert min(len(cert.side_a), len(cert.side_b)) >= 2
+            assert cert.side_a | cert.side_b == frozenset(range(g.n))
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(set(g.edges) - crossing)
+            assert nx.number_connected_components(h) == 2
+            assert cert.kind == "cyclic"
+        # The set exercises both answers and a cut next to a triangle at vertex 0.
+        assert 0 < failures < total and triangle_at_0 > 0
 
     def test_cube_holds(self):
         ok, cert = is_essentially_4_edge_connected(gp(4, 1))

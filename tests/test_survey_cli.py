@@ -278,6 +278,30 @@ class TestCli:
         empty.write_text("\n")
         assert main(["props", str(empty)]) == 1
         assert "no graph6 input lines" in capsys.readouterr().err
+        bad = tmp_path / "bad.g6"
+        bad.write_bytes(b"E\xc3\xa9z_\n")
+        assert main(["props", str(bad)]) == 1
+        assert "input error: non-ASCII character in graph6 input (byte offset 1)" \
+            in capsys.readouterr().err
+
+    def test_survey_bad_json_path_fails_before_census(self, tmp_path, capsys,
+                                                      monkeypatch):
+        from levibridge import cli
+
+        def no_census(**kwargs):
+            raise AssertionError("census ran before the output was opened")
+
+        monkeypatch.setattr(cli, "run_survey", no_census)
+        assert cli.main(["survey", "--json", str(tmp_path / "no" / "x.json")]) == 1
+        assert "input error" in capsys.readouterr().err
+
+    def test_gen_extra_arguments_exit_1(self, capsys):
+        from levibridge.cli import main
+
+        assert main(["gen", "heawood", "extra"]) == 1
+        assert "gen heawood takes no arguments" in capsys.readouterr().err
+        assert main(["gen", "gp", "8"]) == 1
+        assert "gen gp takes two integers" in capsys.readouterr().err
 
     def test_structural_error_exits_2(self):
         # p2fi on a non-cubic graph is a structural failure, not usage.
