@@ -75,13 +75,20 @@ def _emit_graph(g: Graph, labels: bool):
         print(json.dumps(table))
 
 
+def _gen_gp(n: str, k: str) -> Graph:
+    try:
+        return gp(int(n), int(k))
+    except GraphError as exc:  # out-of-range parameters are bad input
+        raise ValueError(str(exc)) from exc
+
+
 # gen target -> (constructor, what its two arguments are; None if it takes none)
 _GENERATORS = {
     "goedgebeur": (goedgebeur_graph, None),
     "heawood": (heawood, None),
     "pappus": (pappus, None),
     "k33": (k33, None),
-    "gp": (lambda n, k: gp(int(n), int(k)), "two integers, e.g. gen gp 8 3"),
+    "gp": (_gen_gp, "two integers, e.g. gen gp 8 3"),
     "bridge": (
         lambda a, b: bridge_graph(BridgeSpec.from_strings(a, b)),
         "two one-line permutations, e.g. gen bridge 2301 0123",
@@ -225,9 +232,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("config", help="point-line configurations")
     p.add_argument("name", choices=sorted(_CONFIGS))
-    p.add_argument("--dual", action="store_true")
-    p.add_argument("--self-dual", dest="self_dual", action="store_true")
-    p.add_argument("--levi", action="store_true", help="emit the Levi graph as graph6")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--dual", action="store_true")
+    mode.add_argument("--self-dual", dest="self_dual", action="store_true")
+    mode.add_argument("--levi", action="store_true",
+                      help="emit the Levi graph as graph6")
     p.add_argument("--labels", action="store_true")
     p.set_defaults(func=_cmd_config)
 

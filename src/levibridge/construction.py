@@ -6,8 +6,9 @@ configuration (every second point from its own line) leaves two *residues*,
 each with four valency-2 points and four valency-2 lines. Re-joining the
 open points of each residue to the open lines of the other through a pair
 of permutations produces a 15_3 configuration whose Levi graph is a cubic
-bipartite graph on 30 vertices; scanning all 576 joins locates the unique
-one (up to isomorphism) with automorphism group of order 144.
+bipartite graph on 30 vertices. A census of all 576 joins, searching one
+join per orbit of their symmetry group W, locates the unique one (up to
+isomorphism) with automorphism group of order 144.
 """
 
 from __future__ import annotations
@@ -16,8 +17,17 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .canon import CanonicalForm, canonical_form
-from .graphs import Graph, adjacency_masks, bfs_layers, bipartition, girth, is_cubic
+from .canon import CanonicalForm, automorphism_group, canonical_form
+from .graphs import (
+    Graph,
+    adjacency_masks,
+    bfs_layers,
+    bipartition,
+    build,
+    girth,
+    is_cubic,
+)
+from .groups import Perm, PermGroup
 from .incidence import (
     Configuration,
     ConfigurationError,
@@ -301,21 +311,100 @@ class CensusClass:
 
 
 @functools.cache
+def _spec_action():
+    """W, and the bridge edges of the joins keyed by the wiring they make.
+
+    The residues of the identity join keep their edges; one hub joins the
+    alpha side (first open lines, second open points), another the beta side
+    (first open points, second open lines). The automorphisms keeping each
+    residue and the hub pair setwise form W; one swapping the hubs is a
+    point-line duality of both residues at once. `edge` maps (0, i, x) to
+    the edge that sets alpha[i] = x and (1, i, x) to the one that sets
+    beta[i] = x; `slot` is its inverse on unordered edges.
+    """
+    g = bridge_graph(BridgeSpec((0, 1, 2, 3), (0, 1, 2, 3)))
+    f, mk = f_residue(), mk_residue()
+    vertex = {label: v for v, label in g.labels.items()}
+    fp = [vertex[f"fp{p}"] for p in f.open_points]
+    fl = [vertex[f"fl{j}"] for j in f.open_lines]
+    mp = [vertex[f"mp{p}"] for p in mk.open_points]
+    ml = [vertex[f"ml{j}"] for j in mk.open_lines]
+    edge = {}
+    for i, x in itertools.product(range(4), repeat=2):
+        edge[0, i, x] = (fl[x], mp[i])
+        edge[1, i, x] = (ml[i], fp[x])
+    slot = {frozenset(uv): key for key, uv in edge.items()}
+    hub_a, hub_b = g.n, g.n + 1
+    h = build(g.n + 2, [e for e in g.edges if frozenset(e) not in slot]
+              + [(hub_a, v) for v in fl + mp] + [(hub_b, v) for v in fp + ml])
+    cells = [[v for v in range(g.n) if g.labels[v][0] == side] for side in "fm"]
+    return automorphism_group(h, cells + [[hub_a, hub_b]]), edge, slot
+
+
+def spec_symmetries() -> PermGroup:
+    """The group W of order 128 acting on the 576 specs (see act_on_spec)."""
+    return _spec_action()[0]
+
+
+def act_on_spec(w: Perm, spec: BridgeSpec) -> BridgeSpec:
+    """The spec whose bridge edges are the w-images of those of spec.
+
+    w is an element of spec_symmetries(); restricted to the 30 join
+    vertices it is an isomorphism bridge_graph(spec) -> bridge_graph(result).
+    """
+    _, edge, slot = _spec_action()
+    image = ([0] * 4, [0] * 4)
+    for k, perm in enumerate((spec.alpha, spec.beta)):
+        for i, x in enumerate(perm):
+            u, v = edge[k, i, x]
+            k2, i2, x2 = slot[frozenset((w[u], w[v]))]
+            image[k2][i2] = x2
+    return BridgeSpec(tuple(image[0]), tuple(image[1]))
+
+
+@functools.cache
 def bridge_census() -> tuple[CensusClass, ...]:
     """All 576 joins grouped by isomorphism class.
 
-    Classes are ordered by descending automorphism-group order, then
-    ascending class size, then certificate bytes; specs inside a class stay
-    in rank order.
+    W (spec_symmetries) splits the specs into orbits of isomorphic joins,
+    so one canonical search per orbit suffices; orbits with equal
+    certificates merge into one class. Raises StructureError unless the
+    orbits partition the specs, obey orbit-stabilizer, and each stabilizer
+    order divides its class's automorphism order. Classes are ordered by
+    descending automorphism-group order, then ascending class size, then
+    certificate bytes; specs inside a class stay in rank order.
     """
+    w = spec_symmetries()
+    seen: set[BridgeSpec] = set()
     first: dict[bytes, CanonicalForm] = {}
     groups: dict[bytes, list[BridgeSpec]] = {}
     for spec in all_bridge_specs():
+        if spec in seen:
+            continue
+        images = [act_on_spec(x, spec) for x in w.elements]
+        orbit, stab = set(images), images.count(spec)
+        # every spec is a representative or in an earlier orbit, and a
+        # representative lies in its own orbit (stab >= 1 below), so disjoint
+        # orbits partition the 576 specs
+        if orbit & seen:
+            raise StructureError(f"the W-orbit of {spec} meets an earlier orbit")
+        seen |= orbit
+        if len(orbit) * stab != w.order:
+            raise StructureError(
+                f"W-orbit of {spec}: {len(orbit)} specs x stabilizer {stab} "
+                f"!= |W| = {w.order}"
+            )
         cf = canonical_form(bridge_graph(spec))
+        if cf.group.order % stab:
+            raise StructureError(
+                f"W-stabilizer of {spec} has order {stab}, which does not "
+                f"divide |Aut| = {cf.group.order}"
+            )
         first.setdefault(cf.certificate, cf)
-        groups.setdefault(cf.certificate, []).append(spec)
+        groups.setdefault(cf.certificate, []).extend(orbit)
     classes = [
-        CensusClass(cert, first[cert].group.order, tuple(specs))
+        CensusClass(cert, first[cert].group.order,
+                    tuple(sorted(specs, key=lambda s: s.rank)))
         for cert, specs in groups.items()
     ]
     return tuple(

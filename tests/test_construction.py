@@ -6,17 +6,21 @@ canonical-search implementation.
 """
 
 import itertools
+import re
 
 import networkx as nx
 import pytest
 
+from levibridge import construction
 from levibridge.canon import automorphism_group, canonical_form
 from levibridge.construction import (
     BridgeError,
     BridgeSpec,
+    CensusClass,
     MarkedEdges,
     Residue,
     StructureError,
+    act_on_spec,
     all_bridge_specs,
     bridge_census,
     bridge_graph,
@@ -28,6 +32,7 @@ from levibridge.construction import (
     marked_edges,
     mk_residue,
     quadrilaterals_mutually_inscribed,
+    spec_symmetries,
 )
 from levibridge.graphs import bipartition, girth, is_cubic
 from levibridge.incidence import fano, moebius_kantor
@@ -228,6 +233,19 @@ class TestBridgeJoin:
         assert info.value.violating_pair is not None
 
 
+def _merging_action(w, spec):
+    # Spec rank 1 lies outside the orbit of rank 0 but is sent onto it.
+    first, second = all_bridge_specs()[:2]
+    return first if spec == second else act_on_spec(w, spec)
+
+
+def _miscounting_action(w, spec):
+    # The identity of W stops fixing specs; generators act correctly.
+    if w == tuple(range(len(w))):
+        return all_bridge_specs()[575 - spec.rank]
+    return act_on_spec(w, spec)
+
+
 class TestCensus:
     def test_17_classes_summing_to_576(self):
         classes = bridge_census()
@@ -275,6 +293,35 @@ class TestCensus:
             nx_order = sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
             assert nx_order == c.aut_order
 
+    def test_matches_brute_force_grouping(self):
+        # One canonical search per spec, grouped by certificate, each class's
+        # order read off its first member: the census without W.
+        first, groups = {}, {}
+        for spec in all_bridge_specs():
+            cf = canonical_form(bridge_graph(spec))
+            first.setdefault(cf.certificate, cf)
+            groups.setdefault(cf.certificate, []).append(spec)
+        brute = sorted(
+            (CensusClass(cert, first[cert].group.order, tuple(specs))
+             for cert, specs in groups.items()),
+            key=lambda c: (-c.aut_order, len(c.specs), c.certificate),
+        )
+        assert list(bridge_census()) == brute
+
+    @pytest.mark.parametrize("broken, message", [
+        (_merging_action, "meets an earlier orbit"),
+        (_miscounting_action, "8 specs x stabilizer 15 != |W| = 128"),
+        (lambda w, s: s, "does not divide |Aut| = 144"),
+    ], ids=["partition", "orbit-stabilizer", "divisibility"])
+    def test_orbit_invariants_raise(self, monkeypatch, broken, message):
+        monkeypatch.setattr(construction, "act_on_spec", broken)
+        bridge_census.cache_clear()
+        try:
+            with pytest.raises(StructureError, match=re.escape(message)):
+                bridge_census()
+        finally:
+            bridge_census.cache_clear()
+
     def test_diagonal_specs_split_8_and_16(self):
         classes = bridge_census()
         placement = {}
@@ -283,6 +330,42 @@ class TestCensus:
             if diag:
                 placement[c.aut_order] = len(diag)
         assert placement == {144: 8, 24: 16}
+
+
+class TestSpecSymmetries:
+    # Checked edge by edge, with no canonical form, so independent of the
+    # certificate oracle above.
+    def test_order_and_orbit_sizes(self):
+        w = spec_symmetries()
+        assert w.order == 128
+        seen, sizes = set(), []
+        for spec in all_bridge_specs():
+            if spec in seen:
+                continue
+            orbit, frontier = {spec}, [spec]
+            while frontier:
+                s = frontier.pop()
+                for gen in w.generators:
+                    t = act_on_spec(gen, s)
+                    if t not in orbit:
+                        orbit.add(t)
+                        frontier.append(t)
+            seen |= orbit
+            sizes.append(len(orbit))
+        assert sorted(sizes) == [8, 8] + [16] * 7 + [32] * 4 + [64] * 3 + [128]
+
+    def test_generators_are_isomorphisms_between_joins(self):
+        edges = {
+            spec: {frozenset(e) for e in bridge_graph(spec).edges}
+            for spec in all_bridge_specs()
+        }
+        gens = spec_symmetries().generators
+        assert gens
+        for w in gens:
+            assert sorted(w[:30]) == list(range(30))
+            for spec, mine in edges.items():
+                image = {frozenset((w[u], w[v])) for u, v in mine}
+                assert image == edges[act_on_spec(w, spec)], (w, spec)
 
 
 class TestIdentification:

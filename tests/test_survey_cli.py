@@ -4,6 +4,7 @@ CLI tests run the installed console script in a subprocess so argument
 parsing, exit codes, and stream handling are exercised end to end.
 """
 
+import itertools
 import json
 import subprocess
 import sys
@@ -302,6 +303,25 @@ class TestCli:
         assert "gen heawood takes no arguments" in capsys.readouterr().err
         assert main(["gen", "gp", "8"]) == 1
         assert "gen gp takes two integers" in capsys.readouterr().err
+
+    def test_gen_gp_out_of_range_exits_1(self, capsys):
+        from levibridge.cli import main
+
+        for n, k in (("3", "5"), ("0", "0"), ("-4", "1")):
+            assert main(["gen", "gp", n, k]) == 1
+            err = capsys.readouterr().err
+            assert f"levibridge: error: gp({n}, {k}) needs 1 <= k < n/2" in err
+
+    def test_config_flags_are_mutually_exclusive(self, capsys):
+        from levibridge.cli import main
+
+        for a, b in itertools.combinations(("--dual", "--self-dual", "--levi"), 2):
+            with pytest.raises(SystemExit) as info:
+                main(["config", "fano", a, b])
+            assert info.value.code == 1
+            assert "not allowed with argument" in capsys.readouterr().err
+        assert main(["config", "fano", "--dual"]) == 0
+        assert json.loads(capsys.readouterr().out)["points"] == 7
 
     def test_structural_error_exits_2(self):
         # p2fi on a non-cubic graph is a structural failure, not usage.
