@@ -4,8 +4,10 @@ The search refines an ordered partition to equitability (neighbor-count
 splitting), individualizes vertices from the first largest cell, and keeps
 the lexicographically least leaf certificate. Refinement traces prune
 branches that cannot win; automorphisms fall out whenever two leaves carry
-identical certificates, and the discovered group prunes sibling subtrees at
-the root. Built for graphs up to a few dozen vertices.
+identical certificates. One is kept only if it enlarges the group found so
+far (a stabilizer chain decides), and at every node the kept automorphisms
+that fix the individualized vertices prune children in the orbit of a
+child already searched. Built for graphs up to a few dozen vertices.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, adjacency_masks, build, graph6_encode
-from .groups import PermGroup
+from .groups import PermGroup, StabChain
 
 
 @dataclass(frozen=True)
@@ -22,7 +24,8 @@ class CanonicalForm:
     certificate: bytes
     order: tuple[int, ...]  # order[p] = original vertex at canonical position p
     color_sizes: tuple[int, ...]
-    # Automorphisms harvested by the same search; elements close lazily.
+    # The automorphisms the same search kept, with its stabilizer chain;
+    # elements close lazily.
     group: PermGroup = field(compare=False, repr=False)
 
 
@@ -88,14 +91,14 @@ class _Search:
         self.n = g.n
         self.adj = adjacency_masks(g)
         self.edges = g.edges
+        self.edge_set = set(g.edges)
         self.tri = self.n * (self.n - 1) // 2
         self.best = None  # (path, cert, labeling)
         self.first = None
-        self.autos: list[tuple[int, ...]] = []
-        self.uf = _UnionFind(self.n)
+        self.chain = StabChain(self.n)  # chain.generators: the kept automorphisms
         root, trace = _refine(self.adj, cells, [_mask(c) for c in cells])
         inv = (tuple(len(c) for c in root), trace)
-        self._node(root, (inv,))
+        self._node(root, (inv,), ())
 
     def _leaf_cert(self, cells) -> tuple[int, tuple[int, ...]]:
         lab = tuple(c[0] for c in cells)
@@ -118,20 +121,17 @@ class _Search:
         for p in range(self.n):
             perm[lab_a[p]] = lab_b[p]
         perm = tuple(perm)
-        edge_set = set(self.edges)
         for u, v in self.edges:
             a, b = perm[u], perm[v]
-            if ((a, b) if a < b else (b, a)) not in edge_set:
+            if ((a, b) if a < b else (b, a)) not in self.edge_set:
                 raise AssertionError("harvested mapping is not an automorphism")
-        self.autos.append(perm)
-        for v in range(self.n):
-            self.uf.union(v, perm[v])
+        self.chain.add(perm)
 
     def _prefix_beats(self, path, ref) -> bool:
         """True when ref (a stored full path) is still reachable from path."""
         return ref is None or path <= ref[0][: len(path)]
 
-    def _node(self, cells, path):
+    def _node(self, cells, path, prefix):
         ok_best = self._prefix_beats(path, self.best)
         ok_first = self.first is not None and path == self.first[0][: len(path)]
         if not ok_best and not ok_first:
@@ -166,13 +166,21 @@ class _Search:
             inv = (tuple(len(c) for c in refined), trace)
             children.append((inv, v, refined))
         children.sort(key=lambda item: (item[0], item[1]))
-        at_root = len(path) == 1
-        tried: list[int] = []
+        # An automorphism fixing the prefix maps the subtree of a searched
+        # child w onto that of v; skipping v loses no leaf certificate and,
+        # the subtree being an image, no generator the group lacks.
+        autos = self.chain.generators
+        uf, seen, tried = _UnionFind(self.n), 0, []
         for inv, v, refined in children:
-            if at_root and any(self.uf.find(v) == self.uf.find(w) for w in tried):
+            for p in autos[seen:]:
+                if all(p[x] == x for x in prefix):
+                    for x in range(self.n):
+                        uf.union(x, p[x])
+            seen = len(autos)
+            if any(uf.find(v) == uf.find(w) for w in tried):
                 continue
             tried.append(v)
-            self._node(refined, path + (inv,))
+            self._node(refined, path + (inv,), prefix + (v,))
 
 
 def _normalize_cells(g: Graph, cells):
@@ -203,7 +211,7 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
     canon = build(g.n, [(pos[u], pos[v]) for u, v in g.edges])
     return CanonicalForm(
         canon, graph6_encode(canon), lab, tuple(len(c) for c in cells),
-        PermGroup(g.n, search.autos),
+        PermGroup.from_chain(search.chain),
     )
 
 

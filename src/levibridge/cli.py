@@ -172,6 +172,8 @@ def _config_json(c: Configuration) -> str:
 
 
 def _cmd_config(args) -> int:
+    if args.labels and not args.levi:
+        args.parser.error("--labels needs --levi")
     c = _CONFIGS[args.name]()
     if args.levi:
         g, _ = levi_graph(c)
@@ -237,8 +239,9 @@ def _build_parser() -> _Parser:
     mode.add_argument("--self-dual", dest="self_dual", action="store_true")
     mode.add_argument("--levi", action="store_true",
                       help="emit the Levi graph as graph6")
-    p.add_argument("--labels", action="store_true")
-    p.set_defaults(func=_cmd_config)
+    p.add_argument("--labels", action="store_true",
+                   help="with --levi, also print the vertex label table as JSON")
+    p.set_defaults(func=_cmd_config, parser=p)
 
     p = sub.add_parser("survey", help="census of all 576 bridge joins")
     p.add_argument("--p2fi", action="store_true",

@@ -8,7 +8,6 @@ in equality, hashing or encoding.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 
@@ -62,14 +61,19 @@ def build(n: int, edges, labels: dict[int, str] | None = None) -> Graph:
     return Graph(n, tuple(sorted(seen)), labels)
 
 
-@functools.lru_cache(maxsize=4096)
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    """Per-vertex neighbor bitmasks; cached since Graph is immutable."""
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return tuple(adj)
+    """Per-vertex neighbor bitmasks, cached on g since Graph is immutable.
+
+    The cache lives and dies with g, so a stream of graphs keeps none alive.
+    """
+    masks = g.__dict__.get("_masks")
+    if masks is None:
+        adj = [0] * g.n
+        for u, v in g.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        masks = g.__dict__["_masks"] = tuple(adj)
+    return masks
 
 
 def is_cubic(g: Graph) -> bool:

@@ -1,8 +1,10 @@
 """Small permutation groups as tuples, with closure, structure and isomorphism tests.
 
 A permutation of degree n is a tuple p of length n with p[i] = image of i.
-Groups are kept as explicit element sets; everything here targets orders in
-the hundreds, not the millions.
+A group is kept as its generators plus a stabilizer chain (Schreier-Sims),
+which gives its order without listing elements; the element set is closed
+only when a caller asks for it, which the structure tests here do for
+orders in the hundreds.
 """
 
 from __future__ import annotations
@@ -85,18 +87,96 @@ def closure(generators, degree: int, limit: int = CLOSURE_LIMIT) -> frozenset[Pe
     return frozenset(elems)
 
 
+class StabChain:
+    """Base, strong generators and transversals of a permutation group.
+
+    Built by deterministic incremental Schreier-Sims (Seress, Permutation
+    Group Algorithms, 2003, ch. 4). Level i holds a base point b_i, the
+    generators of the pointwise stabilizer of b_0..b_{i-1}, and for each
+    point x of their orbit through b_i an element sending b_i to x; the
+    order is the product of the orbit lengths.
+    """
+
+    def __init__(self, degree: int, generators=()):
+        self.degree = degree
+        self.generators: list[Perm] = []  # the added elements that enlarged the group
+        self._levels: list[tuple[int, list[Perm], dict[int, Perm]]] = []
+        for g in generators:
+            self.add(g)
+
+    @property
+    def order(self) -> int:
+        return math.prod(len(trans) for _, _, trans in self._levels)
+
+    def _sift(self, p: Perm, level: int) -> Perm:
+        """Strip p through the levels from `level` on; the identity means
+        p lies in that level's group."""
+        for b, _, trans in self._levels[level:]:
+            u = trans.get(p[b])
+            if u is None:
+                break
+            p = compose(inverse(u), p)
+        return p
+
+    def add(self, g: Perm) -> bool:
+        """Extend the group by g; False, changing nothing, if g is in it."""
+        g = tuple(g)
+        if sorted(g) != list(range(self.degree)):
+            raise GroupError(f"not a permutation of degree {self.degree}: {g}")
+        if self._sift(g, 0) == identity(self.degree):
+            return False
+        self.generators.append(g)
+        self._extend(0, g)
+        return True
+
+    def _extend(self, i: int, g: Perm) -> None:
+        """Add g, which fixes b_0..b_{i-1}, to the generators of level i.
+
+        Every Schreier generator of level i must lie in level i + 1's
+        group; one that does not is added there in turn. Earlier Schreier
+        generators lie in that group already (it only grows), so only the
+        pairs with g or with a new orbit point are sifted.
+        """
+        if i == len(self._levels):
+            b = next(x for x in range(self.degree) if g[x] != x)
+            self._levels.append((b, [], {b: identity(self.degree)}))
+        _, gens, trans = self._levels[i]
+        gens.append(g)
+        pairs = [(x, g) for x in trans]
+        for x, s in pairs:  # grows while the orbit does
+            y = s[x]
+            if y not in trans:
+                trans[y] = compose(s, trans[x])
+                pairs.extend((y, t) for t in gens)
+                continue  # its Schreier generator is the identity
+            residue = self._sift(compose(inverse(trans[y]), compose(s, trans[x])), i + 1)
+            if residue != identity(self.degree):
+                self._extend(i + 1, residue)
+
+
 class PermGroup:
-    """A finite permutation group, materialized lazily from its generators."""
+    """A finite permutation group given by generators.
+
+    The order comes from a stabilizer chain; elements close lazily.
+    """
 
     def __init__(self, degree: int, generators=()):
         self.degree = degree
         self.generators = tuple(dict.fromkeys(tuple(g) for g in generators))
         self._elements: frozenset[Perm] | None = None
+        self._chain: StabChain | None = None
 
     @classmethod
     def from_elements(cls, degree: int, elements) -> "PermGroup":
         g = cls(degree, tuple(elements))
         g._elements = frozenset(tuple(e) for e in elements) | {identity(degree)}
+        return g
+
+    @classmethod
+    def from_chain(cls, chain: StabChain) -> "PermGroup":
+        """The group a chain was built for, generated by chain.generators."""
+        g = cls(chain.degree, chain.generators)
+        g._chain = chain
         return g
 
     @property
@@ -107,7 +187,11 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        if self._elements is not None:
+            return len(self._elements)
+        if self._chain is None:
+            self._chain = StabChain(self.degree, self.generators)
+        return self._chain.order
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"

@@ -164,6 +164,26 @@ class TestAutomorphisms:
         for p in automorphism_group(g).elements:
             assert {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
 
+    def test_highly_symmetric_graphs(self):
+        """Inputs whose group is most of Sym(n): the search must find it from
+        at most n generators, and relabellings must keep the certificate."""
+        k6 = build(6, list(itertools.combinations(range(6), 2)))
+        k33_pair = build(12, list(k33().edges) + [(u + 6, v + 6) for u, v in k33().edges])
+        cases = {
+            "K8": (build(8, list(itertools.combinations(range(8), 2))), 40320),
+            "edgeless 12": (build(12, []), 479001600),
+            "K6 + K6": (build(12, list(k6.edges) + [(u + 6, v + 6) for u, v in k6.edges]),
+                        1036800),
+            "K3,3 + K3,3": (k33_pair, 10368),
+        }
+        rng = random.Random(88)
+        for name, (g, order) in cases.items():
+            group = automorphism_group(g)
+            assert group.order == order, name
+            assert len(group.generators) <= g.n, name
+            assert (canonical_form(_shuffle(g, rng)).certificate
+                    == canonical_form(_shuffle(g, rng)).certificate), name
+
     def test_respects_vertex_colors(self):
         g = cycle(4)
         full = automorphism_group(g)

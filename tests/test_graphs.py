@@ -4,7 +4,9 @@ The codec is tested two ways: against networkx's encoder/decoder as an
 independent reference, and by randomized/property-based round-trips.
 """
 
+import gc
 import random
+import weakref
 
 import networkx as nx
 import pytest
@@ -114,6 +116,15 @@ class TestBuild:
     def test_deduplicates_and_sorts(self):
         g = build(3, [(2, 1), (1, 2), (0, 1)])
         assert g.edges == ((0, 1), (1, 2))
+
+    def test_mask_cache_does_not_keep_graphs_alive(self):
+        g = build(4, [(0, 1), (1, 2), (2, 3)])
+        assert adjacency_masks(g) == (0b10, 0b101, 0b1010, 0b100)
+        assert adjacency_masks(g) is adjacency_masks(g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
 
 
 def _girth_oracle(g):

@@ -1,9 +1,11 @@
 """Permutation-group machinery, cross-checked against sympy.
 
 sympy's PermutationGroup provides the independent route for closure size,
-normality, abelianness, and centre/structure facts on the model groups.
+normality, abelianness, and centre/structure facts on the model groups;
+stabilizer-chain orders are checked against both sympy and product closure.
 """
 
+import math
 import random
 
 import pytest
@@ -14,6 +16,8 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from levibridge.groups import (
     GroupError,
     PermGroup,
+    StabChain,
+    closure,
     compose,
     cycle_type,
     cycles,
@@ -131,6 +135,54 @@ class TestClosureAndGroups:
         assert order_profile(cyclic(4)) == {1: 1, 2: 1, 4: 2}
         assert order_profile(z3z3()) == {1: 1, 3: 8}
         assert order_profile(dihedral(4)) == {1: 1, 2: 5, 4: 2}
+
+
+def _sympy_order(degree, gens) -> int:
+    perms = [Permutation(list(g), size=degree) for g in gens]
+    return PermutationGroup(perms or [Permutation(degree - 1)]).order()
+
+
+@st.composite
+def _generator_sets(draw):
+    degree = draw(st.integers(min_value=1, max_value=8))
+    perm = st.permutations(range(degree)).map(tuple)
+    return degree, draw(st.lists(perm, max_size=4))
+
+
+class TestStabChain:
+    @settings(max_examples=300, deadline=None)
+    @given(_generator_sets())
+    def test_order_matches_closure_and_sympy(self, case):
+        degree, gens = case
+        order = PermGroup(degree, gens).order
+        assert order == len(closure(gens, degree)) == _sympy_order(degree, gens)
+
+    def test_identity_cyclic_and_symmetric(self):
+        for n in range(1, 9):
+            shift = tuple((i + 1) % n for i in range(n))
+            swap = (1, 0) + tuple(range(2, n)) if n > 1 else (0,)
+            cases = (([], 1), ([identity(n)], 1), ([shift], n),
+                     ([shift, swap], math.factorial(n)))
+            for gens, order in cases:
+                assert PermGroup(n, gens).order == order
+                assert _sympy_order(n, gens) == order
+
+    def test_add_keeps_only_generators_that_enlarge(self):
+        rot = (1, 2, 3, 4, 0)
+        chain = StabChain(5, [identity(5), rot])
+        assert chain.generators == [rot]
+        assert not chain.add(compose(rot, rot))
+        assert chain.add((4, 3, 2, 1, 0))
+        assert not chain.add((0, 4, 3, 2, 1))  # a reflection already in D5
+        assert chain.generators == [rot, (4, 3, 2, 1, 0)]
+        assert chain.order == 10
+        assert PermGroup.from_chain(chain).elements == dihedral(5).elements
+
+    def test_rejects_non_permutations(self):
+        with pytest.raises(GroupError):
+            StabChain(3).add((0, 0, 1))
+        with pytest.raises(GroupError):
+            PermGroup(3, [(0, 1)]).order
 
 
 class TestGroupIsomorphism:

@@ -323,6 +323,26 @@ class TestCli:
         assert main(["config", "fano", "--dual"]) == 0
         assert json.loads(capsys.readouterr().out)["points"] == 7
 
+    def test_config_labels_needs_levi(self, capsys):
+        from levibridge.cli import main
+
+        for flags in (["--labels"], ["--dual", "--labels"]):
+            with pytest.raises(SystemExit) as info:
+                main(["config", "fano", *flags])
+            assert info.value.code == 1
+            assert "--labels needs --levi" in capsys.readouterr().err
+        assert main(["config", "fano", "--levi", "--labels"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+    def test_aut_of_k8(self, tmp_path, capsys):
+        from levibridge.cli import main
+
+        k8 = build(8, list(itertools.combinations(range(8), 2)))
+        path = tmp_path / "k8.g6"
+        path.write_bytes(graph6_encode(k8) + b"\n")
+        assert main(["aut", str(path)]) == 0
+        assert capsys.readouterr().out == '{"aut_order": 40320}\n'
+
     def test_structural_error_exits_2(self):
         # p2fi on a non-cubic graph is a structural failure, not usage.
         from levibridge.graphs import cycle
