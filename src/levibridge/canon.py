@@ -1,13 +1,24 @@
 """Canonical labeling, isomorphism and automorphisms by individualization-refinement.
 
 The search refines an ordered partition to equitability (neighbor-count
-splitting), individualizes vertices from the first largest cell, and keeps
-the lexicographically least leaf certificate. Refinement traces prune
-branches that cannot win; automorphisms fall out whenever two leaves carry
-identical certificates. One is kept only if it enlarges the group found so
-far (a stabilizer chain decides), and at every node the kept automorphisms
-that fix the individualized vertices prune children in the orbit of a
-child already searched. Built for graphs up to a few dozen vertices.
+splitting; a splitter only touches the cells that meet its neighbourhood),
+individualizes vertices from the first largest cell, and keeps the least
+leaf key (refinement path, certificate). Children are visited in vertex
+order and refined only when entered, after the orbit test: the kept
+automorphisms that fix the individualized vertices skip a child in the
+orbit of one already searched. Traces prune branches that cannot win, and
+automorphisms fall out whenever two leaves carry equal keys; one is kept
+only if it enlarges the group found so far (a stabilizer chain decides). A
+leaf equal to the first leaf backjumps to the node where the two paths
+diverge, as in nauty (McKay & Piperno, "Practical graph isomorphism, II",
+2014), since the automorphism just found maps the first path's subtree
+onto the rest of the current one.
+
+None of this changes the result: the least key does not depend on the
+order of the search, the labelling returned is the least vertex sequence
+among the leaves carrying it, and every skipped subtree is the image of a
+searched one with a smaller vertex sequence (see `_Search._node`). Built
+for graphs up to a few hundred vertices.
 """
 
 from __future__ import annotations
@@ -37,36 +48,38 @@ def _mask(cell) -> int:
 
 
 def _refine(adj, cells, queue):
-    """Split cells by neighbor counts into queued splitter sets until stable.
+    """Split cells by neighbor counts into queued splitter cells until stable.
 
-    Returns the refined ordered partition and a trace of the splits made;
-    the trace depends only on the isomorphism type of the partitioned graph.
+    A splitter can only split cells that meet its neighbourhood, so a pass
+    counts in those alone and applies its splits after the pass; `pos` in
+    the trace is the index before the pass. Returns the refined ordered
+    partition and a trace of the splits made; the trace depends only on the
+    isomorphism type of the partitioned graph.
     """
     cells = list(cells)
+    masks = [_mask(c) for c in cells]
     trace = []
-    qi = 0
-    while qi < len(queue):
-        smask = queue[qi]
-        qi += 1
-        out = []
-        for pos, cell in enumerate(cells):
-            if len(cell) == 1:
-                out.append(cell)
+    for splitter in queue:  # grows while cells split
+        smask = hit = 0
+        for s in splitter:
+            smask |= 1 << s
+            hit |= adj[s]
+        splits = []
+        for pos, cmask in enumerate(masks):
+            if not cmask & hit or len(cells[pos]) == 1:
                 continue
             buckets: dict[int, list[int]] = {}
-            for v in cell:
+            for v in cells[pos]:
                 buckets.setdefault((adj[v] & smask).bit_count(), []).append(v)
-            if len(buckets) == 1:
-                out.append(cell)
-                continue
-            shape = []
-            for cnt in sorted(buckets):
-                sub = tuple(buckets[cnt])
-                out.append(sub)
-                queue.append(_mask(sub))
-                shape.append((cnt, len(sub)))
-            trace.append((pos, tuple(shape)))
-        cells = out
+            if len(buckets) > 1:
+                counts = sorted(buckets)
+                frags = [tuple(buckets[cnt]) for cnt in counts]
+                queue.extend(frags)
+                trace.append((pos, tuple(zip(counts, map(len, frags)))))
+                splits.append((pos, frags))
+        for pos, frags in reversed(splits):
+            cells[pos:pos + 1] = frags
+            masks[pos:pos + 1] = map(_mask, frags)
     return cells, tuple(trace)
 
 
@@ -94,9 +107,9 @@ class _Search:
         self.edge_set = set(g.edges)
         self.tri = self.n * (self.n - 1) // 2
         self.best = None  # (path, cert, labeling)
-        self.first = None
+        self.first = None  # (path, cert, labeling, prefix) of the first leaf
         self.chain = StabChain(self.n)  # chain.generators: the kept automorphisms
-        root, trace = _refine(self.adj, cells, [_mask(c) for c in cells])
+        root, trace = _refine(self.adj, cells, list(cells))
         inv = (tuple(len(c) for c in root), trace)
         self._node(root, (inv,), ())
 
@@ -132,10 +145,27 @@ class _Search:
         return ref is None or path <= ref[0][: len(path)]
 
     def _node(self, cells, path, prefix):
+        """Search the subtree below `prefix`, children in vertex order.
+
+        Returns None, or the depth to backjump to. The returned labelling
+        is the one children sorted by (inv, v) would give:
+        - the best key (path, cert) is the least over the whole tree,
+          whatever order the children are visited in;
+        - leaves sharing that key have equal invs all along their paths,
+          so (inv, v) order meets them in lexicographic order of their
+          vertex sequences, and so does vertex order, which meets the
+          least one first;
+        - orbit pruning and backjumping skip only subtrees that are
+          images, under a found automorphism fixing the node's prefix,
+          of subtrees searched before; each skipped leaf has the key of
+          its preimage, whose vertex sequence is smaller, so they hide
+          neither the least leaf nor a generator the group lacks.
+        Certificate, labelling and |Aut| are therefore unchanged.
+        """
         ok_best = self._prefix_beats(path, self.best)
         ok_first = self.first is not None and path == self.first[0][: len(path)]
         if not ok_best and not ok_first:
-            return
+            return None
         target = None
         for idx, cell in enumerate(cells):
             if len(cell) > 1 and (target is None or len(cell) > len(cells[target])):
@@ -144,34 +174,25 @@ class _Search:
             cert, lab = self._leaf_cert(cells)
             key = (path, cert)
             if self.first is None:
-                self.first = (path, cert, lab)
+                self.first = (path, cert, lab, prefix)
                 self.best = (path, cert, lab)
-                return
-            if key == (self.first[0], self.first[1]):
+            elif key == self.first[:2]:
+                # The automorphism maps the first leaf here, and the first
+                # path's subtree below the divergence onto this one.
                 self._record_auto(self.first[2], lab)
-                if (self.best[0], self.best[1]) == key:
-                    return
-            if self.best is None or key < (self.best[0], self.best[1]):
+                return next(d for d, (a, b) in enumerate(zip(self.first[3], prefix)) if a != b)
+            elif key < self.best[:2]:
                 self.best = (path, cert, lab)
-            elif key == (self.best[0], self.best[1]):
+            elif key == self.best[:2]:
                 self._record_auto(self.best[2], lab)
-            return
+            return None
         cell = cells[target]
-        children = []
-        for v in cell:
-            rest = tuple(u for u in cell if u != v)
-            child = list(cells)
-            child[target:target + 1] = [(v,), rest]
-            refined, trace = _refine(self.adj, child, [1 << v, _mask(rest)])
-            inv = (tuple(len(c) for c in refined), trace)
-            children.append((inv, v, refined))
-        children.sort(key=lambda item: (item[0], item[1]))
         # An automorphism fixing the prefix maps the subtree of a searched
         # child w onto that of v; skipping v loses no leaf certificate and,
         # the subtree being an image, no generator the group lacks.
         autos = self.chain.generators
         uf, seen, tried = _UnionFind(self.n), 0, []
-        for inv, v, refined in children:
+        for v in sorted(cell):
             for p in autos[seen:]:
                 if all(p[x] == x for x in prefix):
                     for x in range(self.n):
@@ -180,7 +201,15 @@ class _Search:
             if any(uf.find(v) == uf.find(w) for w in tried):
                 continue
             tried.append(v)
-            self._node(refined, path + (inv,), prefix + (v,))
+            rest = tuple(u for u in cell if u != v)
+            child = list(cells)
+            child[target:target + 1] = [(v,), rest]
+            refined, trace = _refine(self.adj, child, [(v,), rest])
+            inv = (tuple(len(c) for c in refined), trace)
+            jump = self._node(refined, path + (inv,), prefix + (v,))
+            if jump is not None and jump < len(prefix):
+                return jump
+        return None
 
 
 def _normalize_cells(g: Graph, cells):

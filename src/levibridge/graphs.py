@@ -335,20 +335,21 @@ def graph6_decode(data: bytes | str) -> Graph:
             f"graph6 body for n={n} needs {(need + 5) // 6} bytes, got {len(body)}",
             pos,
         )
-    bits = 0
+    edges = []
+    i, j = 0, 1  # the vertex pair of the current byte's first bit
     for off, b in enumerate(body):
         if not (63 <= b <= 126):
             raise Graph6Error(f"byte {b} outside graph6 range", pos + off)
-        bits = bits << 6 | (b - 63)
-    total = 6 * len(body)
-    pad = total - need
-    if pad and bits & ((1 << pad) - 1):
-        raise Graph6Error("nonzero padding bits", pos + len(body) - 1)
-    edges = []
-    idx = total - 1
-    for j in range(1, n):
-        for i in range(j):
-            if bits >> idx & 1:
-                edges.append((i, j))
-            idx -= 1
+        x = b - 63
+        for k in range(6 if x else 0):  # bit k: pair (i + k, j), carried into later columns
+            if x >> (5 - k) & 1:
+                u, v = i + k, j
+                while u >= v:
+                    u, v = u - v, v + 1
+                if v >= n:
+                    raise Graph6Error("nonzero padding bits", pos + len(body) - 1)
+                edges.append((u, v))
+        i += 6
+        while i >= j:
+            i, j = i - j, j + 1
     return build(n, edges)

@@ -29,7 +29,7 @@ def identity(n: int) -> Perm:
 
 def compose(a: Perm, b: Perm) -> Perm:
     """Permutation a after b: (a*b)[i] = a[b[i]]."""
-    return tuple(a[x] for x in b)
+    return tuple(map(a.__getitem__, b))
 
 
 def inverse(a: Perm) -> Perm:
@@ -93,14 +93,14 @@ class StabChain:
     Built by deterministic incremental Schreier-Sims (Seress, Permutation
     Group Algorithms, 2003, ch. 4). Level i holds a base point b_i, the
     generators of the pointwise stabilizer of b_0..b_{i-1}, and for each
-    point x of their orbit through b_i an element sending b_i to x; the
-    order is the product of the orbit lengths.
+    point x of their orbit through b_i an element sending b_i to x, stored
+    with its inverse; the order is the product of the orbit lengths.
     """
 
     def __init__(self, degree: int, generators=()):
         self.degree = degree
         self.generators: list[Perm] = []  # the added elements that enlarged the group
-        self._levels: list[tuple[int, list[Perm], dict[int, Perm]]] = []
+        self._levels: list[tuple[int, list[Perm], dict[int, tuple[Perm, Perm]]]] = []
         for g in generators:
             self.add(g)
 
@@ -115,7 +115,7 @@ class StabChain:
             u = trans.get(p[b])
             if u is None:
                 break
-            p = compose(inverse(u), p)
+            p = compose(u[1], p)
         return p
 
     def add(self, g: Perm) -> bool:
@@ -139,17 +139,19 @@ class StabChain:
         """
         if i == len(self._levels):
             b = next(x for x in range(self.degree) if g[x] != x)
-            self._levels.append((b, [], {b: identity(self.degree)}))
+            e = identity(self.degree)
+            self._levels.append((b, [], {b: (e, e)}))
         _, gens, trans = self._levels[i]
         gens.append(g)
         pairs = [(x, g) for x in trans]
         for x, s in pairs:  # grows while the orbit does
             y = s[x]
             if y not in trans:
-                trans[y] = compose(s, trans[x])
+                u = compose(s, trans[x][0])
+                trans[y] = (u, inverse(u))
                 pairs.extend((y, t) for t in gens)
                 continue  # its Schreier generator is the identity
-            residue = self._sift(compose(inverse(trans[y]), compose(s, trans[x])), i + 1)
+            residue = self._sift(compose(trans[y][1], compose(s, trans[x][0])), i + 1)
             if residue != identity(self.degree):
                 self._extend(i + 1, residue)
 

@@ -1,8 +1,11 @@
 """Canonical forms, isomorphism, and automorphism groups.
 
-Three independent oracles: a brute-force all-relabelings canonical form for
-small graphs, networkx VF2 for isomorphism answers, and networkx's
-vf2pp isomorphism enumeration for automorphism-group orders.
+Four oracles: a brute-force all-relabelings canonical form for
+small graphs, networkx VF2 for isomorphism answers, networkx's vf2pp
+isomorphism enumeration for automorphism-group orders, and the earlier
+search loop (every child refined, then sorted by its invariant; no
+backjumping), whose certificates, labellings and group orders the search
+must reproduce exactly.
 """
 
 import itertools
@@ -13,17 +16,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levibridge.canon import (
+    _Search,
+    _UnionFind,
+    _refine,
     are_isomorphic,
     automorphism_group,
     canonical_form,
     isomorphism,
 )
+from levibridge.construction import all_bridge_specs, bridge_graph, goedgebeur_graph
 from levibridge.graphs import (
+    adjacency_masks,
     build,
     cycle,
+    gp,
     graph6_encode,
     heawood,
     k33,
+    moebius_kantor_graph,
     pappus,
     petersen,
     prism,
@@ -54,6 +64,106 @@ def _to_nx(g):
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
     return h
+
+
+def _mask(cell) -> int:
+    return sum(1 << v for v in cell)
+
+
+def _refine_every_cell(adj, cells, queue):
+    """The earlier refinement: each queued splitter mask is counted against
+    every non-singleton cell, and cells split in place during the pass."""
+    cells = list(cells)
+    trace = []
+    qi = 0
+    while qi < len(queue):
+        smask = queue[qi]
+        qi += 1
+        out = []
+        for pos, cell in enumerate(cells):
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            buckets = {}
+            for v in cell:
+                buckets.setdefault((adj[v] & smask).bit_count(), []).append(v)
+            if len(buckets) == 1:
+                out.append(cell)
+                continue
+            shape = []
+            for cnt in sorted(buckets):
+                sub = tuple(buckets[cnt])
+                out.append(sub)
+                queue.append(_mask(sub))
+                shape.append((cnt, len(sub)))
+            trace.append((pos, tuple(shape)))
+        cells = out
+    return cells, tuple(trace)
+
+
+class _RefineAllSearch(_Search):
+    """The earlier search loop: refine every child of a node, sort the
+    children by (inv, v), then search them with orbit pruning and no
+    backjumping."""
+
+    def _node(self, cells, path, prefix):
+        ok_best = self._prefix_beats(path, self.best)
+        ok_first = self.first is not None and path == self.first[0][: len(path)]
+        if not ok_best and not ok_first:
+            return
+        target = None
+        for idx, cell in enumerate(cells):
+            if len(cell) > 1 and (target is None or len(cell) > len(cells[target])):
+                target = idx
+        if target is None:
+            cert, lab = self._leaf_cert(cells)
+            key = (path, cert)
+            if self.first is None:
+                self.first = (path, cert, lab)
+                self.best = (path, cert, lab)
+                return
+            if key == (self.first[0], self.first[1]):
+                self._record_auto(self.first[2], lab)
+                if (self.best[0], self.best[1]) == key:
+                    return
+            if key < (self.best[0], self.best[1]):
+                self.best = (path, cert, lab)
+            elif key == (self.best[0], self.best[1]):
+                self._record_auto(self.best[2], lab)
+            return
+        cell = cells[target]
+        children = []
+        for v in cell:
+            rest = tuple(u for u in cell if u != v)
+            child = list(cells)
+            child[target:target + 1] = [(v,), rest]
+            refined, trace = _refine_every_cell(self.adj, child, [1 << v, _mask(rest)])
+            inv = (tuple(len(c) for c in refined), trace)
+            children.append((inv, v, refined))
+        children.sort(key=lambda item: (item[0], item[1]))
+        autos = self.chain.generators
+        uf, seen, tried = _UnionFind(self.n), 0, []
+        for inv, v, refined in children:
+            for p in autos[seen:]:
+                if all(p[x] == x for x in prefix):
+                    for x in range(self.n):
+                        uf.union(x, p[x])
+            seen = len(autos)
+            if any(uf.find(v) == uf.find(w) for w in tried):
+                continue
+            tried.append(v)
+            self._node(refined, path + (inv,), prefix + (v,))
+
+
+def _refine_all_form(g):
+    """(certificate, labelling, |Aut|) as the earlier search computes them."""
+    search = _RefineAllSearch(g, [tuple(range(g.n))])
+    lab = search.best[2]
+    pos = [0] * g.n
+    for p, v in enumerate(lab):
+        pos[v] = p
+    cert = graph6_encode(build(g.n, [(pos[u], pos[v]) for u, v in g.edges]))
+    return cert, lab, search.chain.order
 
 
 def _brute_force_certificate(g) -> bytes:
@@ -134,6 +244,54 @@ class TestIsomorphism:
                                                       (3, 4), (4, 5), (5, 3)]))
 
 
+def _z4z4_cayley(steps):
+    """Cayley graph on Z4 x Z4 (vertex 4i + j) for a symmetric step set."""
+    return build(16, [(4 * i + j, 4 * ((i + a) % 4) + (j + b) % 4)
+                      for i in range(4) for j in range(4) for a, b in steps])
+
+
+def _union(a, b):
+    return build(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+
+
+class TestSearchOrder:
+    def test_matches_refine_all_search(self):
+        """Vertex-order children, backjumping and hit-cell refinement change
+        no certificate, labelling or group order of the earlier search.
+
+        The 4x4 rook's graph and the Shrikhande graph are both strongly
+        regular with parameters (16, 6, 2, 2), so refinement cannot tell
+        their union's components apart; there an orbit skip that used
+        automorphisms moving the node's prefix would change the certificate.
+        """
+        rng = random.Random(606)
+        rook = _z4z4_cayley([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])
+        shrikhande = _z4z4_cayley([(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)])
+        named = [k33(), petersen(), heawood(), pappus(), prism(),
+                 moebius_kantor_graph(), gp(10, 2), gp(10, 3), goedgebeur_graph(),
+                 _union(rook, shrikhande), _union(shrikhande, rook)]
+        graphs = named + [_shuffle(g, rng) for g in named]
+        graphs += [bridge_graph(s) for s in rng.sample(all_bridge_specs(), 64)]
+        graphs += [_random_graph(rng, rng.randint(1, 11)) for _ in range(200)]
+        for g in graphs:
+            cf = canonical_form(g)
+            assert (cf.certificate, cf.order, cf.group.order) == _refine_all_form(g), g
+
+    def test_refine_matches_every_cell_refinement(self):
+        """Refinement from a random ordered partition gives the earlier
+        refinement's cells and trace."""
+        rng = random.Random(707)
+        for _ in range(300):
+            g = _random_graph(rng, rng.randint(1, 14))
+            verts = list(range(g.n))
+            rng.shuffle(verts)
+            cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n - 1))) if g.n > 1 else []
+            cells = [tuple(verts[a:b]) for a, b in zip([0] + cuts, cuts + [g.n])]
+            adj = adjacency_masks(g)
+            assert (_refine(adj, cells, list(cells))
+                    == _refine_every_cell(adj, cells, [_mask(c) for c in cells]))
+
+
 def _nx_aut_order(g) -> int:
     h = _to_nx(g)
     return sum(1 for _ in nx.vf2pp_all_isomorphisms(h, h))
@@ -175,6 +333,8 @@ class TestAutomorphisms:
             "K6 + K6": (build(12, list(k6.edges) + [(u + 6, v + 6) for u, v in k6.edges]),
                         1036800),
             "K3,3 + K3,3": (k33_pair, 10368),
+            "gp(200, 1)": (gp(200, 1), 800),
+            "edgeless 20": (build(20, []), 2432902008176640000),
         }
         rng = random.Random(88)
         for name, (g, order) in cases.items():

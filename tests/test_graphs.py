@@ -92,6 +92,26 @@ class TestGraph6:
             graph6_decode("A\u00e9")  # non-ASCII text
         assert err.value.offset == 1
 
+    def test_decode_error_offsets(self):
+        cases = {
+            b"EFz\x01": ("byte 1 outside", 3),
+            b"EFz": ("needs 3 bytes, got 2", 1),
+            b"EFz`": ("nonzero padding", 3),  # K3,3 with the last of 3 pad bits set
+            b"~??@": ("non-minimal", 1),
+        }
+        for data, (text, offset) in cases.items():
+            with pytest.raises(Graph6Error) as err:
+                graph6_decode(data)
+            assert text in str(err.value) and err.value.offset == offset, data
+
+    def test_roundtrip_1200_vertex_prism(self):
+        """A 1200-vertex line decodes in well under a second, byte by byte."""
+        g = gp(600, 1)
+        data = graph6_encode(g)
+        assert graph6_decode(data) == g
+        back = nx.from_graph6_bytes(data)
+        assert {frozenset(e) for e in back.edges()} == {frozenset(e) for e in g.edges}
+
     def test_decode_accepts_prefix(self):
         assert graph6_decode(b">>graph6<<EFz_") == k33()
 
