@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, adjacency_masks, build, graph6_encode
-from .groups import PermGroup, StabChain
+from .groups import PermGroup, StabChain, orbit
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,6 @@ def _refine(adj, cells, queue):
             cells[pos:pos + 1] = frags
             masks[pos:pos + 1] = map(_mask, frags)
     return cells, tuple(trace)
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
 
 
 class _Search:
@@ -189,18 +173,20 @@ class _Search:
         cell = cells[target]
         # An automorphism fixing the prefix maps the subtree of a searched
         # child w onto that of v; skipping v loses no leaf certificate and,
-        # the subtree being an image, no generator the group lacks.
-        autos = self.chain.generators
-        uf, seen, tried = _UnionFind(self.n), 0, []
+        # the subtree being an image, no generator the group lacks. `covered`
+        # is the union of the tried children's orbits under those automorphisms.
+        tried, covered, seen = [], set(), None
         for v in sorted(cell):
-            for p in autos[seen:]:
-                if all(p[x] == x for x in prefix):
-                    for x in range(self.n):
-                        uf.union(x, p[x])
-            seen = len(autos)
-            if any(uf.find(v) == uf.find(w) for w in tried):
+            autos = self.chain.generators
+            if seen != len(autos):  # a child found automorphisms: orbits may merge
+                seen = len(autos)
+                fixing = PermGroup(
+                    self.n, [p for p in autos if all(p[x] == x for x in prefix)])
+                covered = set().union(*(orbit(fixing, w) for w in tried))
+            if v in covered:
                 continue
             tried.append(v)
+            covered |= orbit(fixing, v)
             rest = tuple(u for u in cell if u != v)
             child = list(cells)
             child[target:target + 1] = [(v,), rest]

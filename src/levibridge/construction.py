@@ -275,12 +275,8 @@ def bridge_join(
             line_labels=line_labels,
         )
     except ConfigurationError as exc:
-        pair = None
-        for (j1, l1), (j2, l2) in itertools.combinations(enumerate(lines), 2):
-            if len(set(l1) & set(l2)) > 1:
-                pair = (j1, j2)
-                break
-        raise BridgeError(f"invalid bridge {spec}: {exc}", violating_pair=pair) from exc
+        raise BridgeError(f"invalid bridge {spec}: {exc}",
+                          violating_pair=exc.pair) from exc
 
     g, _ = levi_graph(config)
     if not (g.n == 30 and len(g.edges) == 45 and is_cubic(g)):

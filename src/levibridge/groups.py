@@ -1,10 +1,10 @@
 """Small permutation groups as tuples, with closure, structure and isomorphism tests.
 
 A permutation of degree n is a tuple p of length n with p[i] = image of i.
-A group is kept as its generators plus a stabilizer chain (Schreier-Sims),
-which gives its order without listing elements; the element set is closed
-only when a caller asks for it, which the structure tests here do for
-orders in the hundreds.
+A group is kept as its generators plus a stabilizer chain (Schreier-Sims);
+the chain answers order, membership, subgroup and normality questions, and
+groups given as element sets are built through one. `closure` only lists
+elements, for the structure tests that need them at orders in the hundreds.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import math
 from collections import Counter
 
 Perm = tuple[int, ...]
-
-CLOSURE_LIMIT = 10**6
 
 
 class GroupError(ValueError):
@@ -65,8 +63,8 @@ def perm_order(a: Perm) -> int:
     return math.lcm(*(len(c) for c in cycles(a))) if a else 1
 
 
-def closure(generators, degree: int, limit: int = CLOSURE_LIMIT) -> frozenset[Perm]:
-    """Breadth-first product closure of the generators."""
+def closure(generators, degree: int) -> frozenset[Perm]:
+    """Breadth-first product closure of the generators: the element list."""
     gens = [tuple(g) for g in generators]
     for g in gens:
         if sorted(g) != list(range(degree)):
@@ -81,8 +79,6 @@ def closure(generators, degree: int, limit: int = CLOSURE_LIMIT) -> frozenset[Pe
                 if y not in elems:
                     elems.add(y)
                     nxt.append(y)
-                    if len(elems) > limit:
-                        raise GroupError(f"closure exceeded {limit} elements")
         frontier = nxt
     return frozenset(elems)
 
@@ -108,6 +104,9 @@ class StabChain:
     def order(self) -> int:
         return math.prod(len(trans) for _, _, trans in self._levels)
 
+    def __contains__(self, p: Perm) -> bool:
+        return self._sift(p, 0) == identity(self.degree)
+
     def _sift(self, p: Perm, level: int) -> Perm:
         """Strip p through the levels from `level` on; the identity means
         p lies in that level's group."""
@@ -123,7 +122,7 @@ class StabChain:
         g = tuple(g)
         if sorted(g) != list(range(self.degree)):
             raise GroupError(f"not a permutation of degree {self.degree}: {g}")
-        if self._sift(g, 0) == identity(self.degree):
+        if g in self:
             return False
         self.generators.append(g)
         self._extend(0, g)
@@ -159,7 +158,7 @@ class StabChain:
 class PermGroup:
     """A finite permutation group given by generators.
 
-    The order comes from a stabilizer chain; elements close lazily.
+    Its stabilizer chain is built on first use; elements close lazily.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -169,14 +168,10 @@ class PermGroup:
         self._chain: StabChain | None = None
 
     @classmethod
-    def from_elements(cls, degree: int, elements) -> "PermGroup":
-        g = cls(degree, tuple(elements))
-        g._elements = frozenset(tuple(e) for e in elements) | {identity(degree)}
-        return g
-
-    @classmethod
     def from_chain(cls, chain: StabChain) -> "PermGroup":
-        """The group a chain was built for, generated by chain.generators."""
+        """The group a chain was built for, generated by chain.generators;
+        `PermGroup.from_chain(StabChain(degree, elements))` is the group
+        the elements generate."""
         g = cls(chain.degree, chain.generators)
         g._chain = chain
         return g
@@ -188,35 +183,35 @@ class PermGroup:
         return self._elements
 
     @property
-    def order(self) -> int:
-        if self._elements is not None:
-            return len(self._elements)
+    def chain(self) -> StabChain:
         if self._chain is None:
             self._chain = StabChain(self.degree, self.generators)
-        return self._chain.order
+        return self._chain
+
+    @property
+    def order(self) -> int:
+        return self.chain.order
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
 def is_subgroup(sub: PermGroup, group: PermGroup) -> bool:
-    return sub.degree == group.degree and sub.elements <= group.elements
+    return sub.degree == group.degree and all(x in group.chain for x in sub.generators)
 
 
 def is_normal(sub: PermGroup, group: PermGroup) -> bool:
-    """Check closure of sub under conjugation by the group's generators.
+    """Check that sub holds the conjugates of its generators by the group's.
 
-    Conjugation by generators extends multiplicatively, so this decides
-    normality under the whole group.
+    g sub g^-1 is generated by those conjugates and, the group being finite,
+    lies in sub for every generator g exactly when sub is normal.
     """
     if not is_subgroup(sub, group):
         raise GroupError("is_normal needs sub <= group")
-    k = sub.elements
-    for g in group.generators:
-        gi = inverse(g)
-        if any(compose(g, compose(x, gi)) not in k for x in k):
-            return False
-    return True
+    return all(
+        compose(g, compose(x, inverse(g))) in sub.chain
+        for g in group.generators for x in sub.generators
+    )
 
 
 def _image(p: Perm, obj):
@@ -244,8 +239,8 @@ def orbit(group: PermGroup, obj) -> frozenset:
 def stabilizer(group: PermGroup, obj) -> PermGroup:
     """Elements fixing a point, or fixing a vertex set setwise."""
     key = obj if isinstance(obj, int) else frozenset(obj)
-    elems = [p for p in group.elements if _image(p, key) == key]
-    return PermGroup.from_elements(group.degree, elems)
+    elems = (p for p in group.elements if _image(p, key) == key)
+    return PermGroup.from_chain(StabChain(group.degree, elems))
 
 
 def order_profile(group: PermGroup) -> dict[int, int]:
@@ -278,17 +273,13 @@ def edge_action(p: Perm, edges) -> Perm:
 
 
 def _generating_sequence(group: PermGroup) -> list[Perm]:
-    """Greedy short generating sequence, deterministic for a given group."""
-    elems = sorted(group.elements, key=lambda p: (-perm_order(p), p))
-    gens: list[Perm] = []
-    have = frozenset({identity(group.degree)})
-    for x in elems:
-        if x not in have:
-            gens.append(x)
-            have = closure(gens, group.degree)
-            if len(have) == group.order:
-                break
-    return gens
+    """Greedy short generating sequence, deterministic for a given group:
+    elements by descending order, each kept if it enlarges the group so far."""
+    chain = StabChain(group.degree)
+    for x in sorted(group.elements, key=lambda p: (-perm_order(p), p)):
+        if chain.add(x) and chain.order == group.order:
+            break
+    return chain.generators
 
 
 def _extends_to_isomorphism(a: PermGroup, gens: list[Perm], imgs: list[Perm],
@@ -327,16 +318,14 @@ def groups_isomorphic(a: PermGroup, b: PermGroup) -> bool:
     by_order: dict[int, list[Perm]] = {}
     for p in sorted(b.elements):
         by_order.setdefault(perm_order(p), []).append(p)
-    sub_sizes = []
-    for i in range(len(gens)):
-        sub_sizes.append(len(closure(gens[: i + 1], a.degree)))
+    sub_sizes = [StabChain(a.degree, gens[: i + 1]).order for i in range(len(gens))]
 
     def assign(i: int, imgs: list[Perm]) -> bool:
         if i == len(gens):
             return _extends_to_isomorphism(a, gens, imgs, b)
         for cand in by_order.get(perm_order(gens[i]), []):
             trial = imgs + [cand]
-            if len(closure(trial, b.degree, limit=b.order + 1)) != sub_sizes[i]:
+            if StabChain(b.degree, trial).order != sub_sizes[i]:
                 continue
             if assign(i + 1, trial):
                 return True

@@ -17,7 +17,10 @@ from .graphs import Bipartition, Graph, build
 
 
 class ConfigurationError(ValueError):
-    """Raised when an incidence structure is not a valid configuration."""
+    """Raised when an incidence structure is not a valid configuration;
+    `pair` names the two lines sharing two points when that is the fault."""
+
+    pair: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -49,9 +52,9 @@ def configuration(n_points: int, lines, point_labels=None,
             raise ConfigurationError(f"point {p} lies on {k} lines, want 3")
     for i, j in itertools.combinations(range(len(lines)), 2):
         if len(lines[i] & lines[j]) > 1:
-            raise ConfigurationError(
-                f"lines {i} and {j} share two points: not linear"
-            )
+            err = ConfigurationError(f"lines {i} and {j} share two points: not linear")
+            err.pair = (i, j)
+            raise err
     if point_labels is not None:
         point_labels = tuple(point_labels)
     if line_labels is not None:

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from levibridge.canon import (
     _Search,
-    _UnionFind,
     _refine,
     are_isomorphic,
     automorphism_group,
@@ -99,6 +98,22 @@ def _refine_every_cell(adj, cells, queue):
             trace.append((pos, tuple(shape)))
         cells = out
     return cells, tuple(trace)
+
+
+class _UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
 
 
 class _RefineAllSearch(_Search):

@@ -230,7 +230,7 @@ class TestBridgeJoin:
         with pytest.raises(BridgeError) as info:
             bridge_join(f_residue(), clashing,
                         BridgeSpec((1, 2, 0, 3), (1, 0, 2, 3)))
-        assert info.value.violating_pair is not None
+        assert info.value.violating_pair == (1, 8)  # fl1 and ml1
 
 
 def _merging_action(w, spec):

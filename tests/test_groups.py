@@ -2,14 +2,16 @@
 
 sympy's PermutationGroup provides the independent route for closure size,
 normality, abelianness, and centre/structure facts on the model groups;
-stabilizer-chain orders are checked against both sympy and product closure.
+stabilizer-chain orders are checked against both sympy and product closure,
+and the chain's subgroup, normality and stabilizer answers against sympy on
+random generator sets.
 """
 
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
@@ -137,9 +139,13 @@ class TestClosureAndGroups:
         assert order_profile(dihedral(4)) == {1: 1, 2: 5, 4: 2}
 
 
+def _sympy_perms(degree, gens) -> PermutationGroup:
+    return PermutationGroup([Permutation(list(g), size=degree) for g in gens]
+                            or [Permutation(degree - 1)])
+
+
 def _sympy_order(degree, gens) -> int:
-    perms = [Permutation(list(g), size=degree) for g in gens]
-    return PermutationGroup(perms or [Permutation(degree - 1)]).order()
+    return _sympy_perms(degree, gens).order()
 
 
 @st.composite
@@ -183,6 +189,38 @@ class TestStabChain:
             StabChain(3).add((0, 0, 1))
         with pytest.raises(GroupError):
             PermGroup(3, [(0, 1)]).order
+
+
+@st.composite
+def _subgroup_cases(draw):
+    """A group, a generator set drawn partly from its elements (so often a
+    subgroup, often not closed as a set), and a point."""
+    degree = draw(st.integers(min_value=1, max_value=6))
+    perm = st.permutations(range(degree)).map(tuple)
+    gens = draw(st.lists(perm, min_size=1, max_size=3))
+    elements = sorted(closure(gens, degree))
+    sub = draw(st.lists(st.one_of(st.sampled_from(elements), perm), max_size=3))
+    return degree, gens, sub, draw(st.integers(min_value=0, max_value=degree - 1))
+
+
+class TestChainAnswersMatchSympy:
+    @settings(max_examples=300, deadline=None)
+    @given(_subgroup_cases())
+    # {id, r, s} in D4 is not closed; the group it generates has order 8.
+    @example((4, [(1, 2, 3, 0), (3, 2, 1, 0)], [(0, 1, 2, 3), (1, 2, 3, 0), (3, 2, 1, 0)], 0))
+    def test_subgroup_normal_stabilizer_and_element_sets(self, case):
+        degree, gens, sub_gens, point = case
+        group, sub = PermGroup(degree, gens), PermGroup(degree, sub_gens)
+        sg, ss = _sympy_perms(degree, gens), _sympy_perms(degree, sub_gens)
+        assert is_subgroup(sub, group) == ss.is_subgroup(sg)
+        if ss.is_subgroup(sg):
+            assert is_normal(sub, group) == ss.is_normal(sg, strict=False)
+        assert stabilizer(group, point).order == sg.stabilizer(point).order()
+        # An element set need not be closed; the group built from it is the
+        # one it generates.
+        from_set = PermGroup.from_chain(StabChain(degree, sub_gens))
+        assert from_set.order == ss.order()
+        assert from_set.elements == closure(sub_gens, degree)
 
 
 class TestGroupIsomorphism:

@@ -13,7 +13,7 @@ import pytest
 
 from levibridge.canon import canonical_form
 from levibridge.construction import bridge_census, bridge_graph, goedgebeur_graph
-from levibridge.groups import PermGroup, dihedral, groups_isomorphic
+from levibridge.groups import PermGroup, StabChain, dihedral, groups_isomorphic
 from levibridge.graphs import build, graph6_encode, heawood, k33, petersen
 from levibridge.survey import (
     StructureError,
@@ -80,7 +80,7 @@ class TestKleinCosetPartition:
         assert set(rows[0]) == {
             (0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)
         }
-        four = PermGroup.from_elements(4, rows[0])
+        four = PermGroup.from_chain(StabChain(4, rows[0]))
         assert four.order == 4
         from levibridge.groups import order_profile
 
@@ -88,7 +88,7 @@ class TestKleinCosetPartition:
 
     def test_first_two_rows_form_a_dihedral_group(self):
         rows = klein_coset_partition()
-        eight = PermGroup.from_elements(4, rows[0] + rows[1])
+        eight = PermGroup.from_chain(StabChain(4, rows[0] + rows[1]))
         assert eight.order == 8
         assert groups_isomorphic(eight, dihedral(4))
 
