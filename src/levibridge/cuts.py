@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, adjacency_masks, components, is_cubic
+from .graphs import (Graph, GraphError, _neighbor_tuples, adjacency_masks, components,
+                     is_cubic)
 
 _CHORDLESS_CAP = 9  # see cyclic_edge_connectivity for why this is exhaustive
 
@@ -80,50 +81,38 @@ def _chordless_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
 
 def _min_cut_between(g: Graph, side_s: frozenset[int], side_t: frozenset[int],
                      stop_at: int | None) -> tuple[int, frozenset[int] | None]:
-    """Minimum edge cut separating two contracted vertex sets (Edmonds-Karp).
+    """Minimum edge cut between two disjoint vertex sets (Edmonds-Karp).
 
-    Stops early once the flow reaches `stop_at`, since the caller only keeps
-    strictly smaller values, and then returns (stop_at, None). Otherwise it
-    returns the minimum cut size together with the vertices the last search
-    reached: the source side of a minimum cut, containing `side_s`.
+    Unit flows run on g as if each set were contracted: each search starts
+    from all of `side_s` and stops at a vertex of `side_t`. Stops once the
+    flow reaches `stop_at` (the caller only keeps smaller values) and returns
+    (stop_at, None); else returns the cut size and the last search's reach,
+    the source side of a minimum cut that lies inside every other one.
     """
-    ids: dict[int, int] = {}
-    nxt = 2  # 0 = contracted source side, 1 = contracted sink side
-    for v in range(g.n):
-        if v in side_s:
-            ids[v] = 0
-        elif v in side_t:
-            ids[v] = 1
-        else:
-            ids[v] = nxt
-            nxt += 1
-    cap: list[dict[int, int]] = [dict() for _ in range(nxt)]
-    for u, v in g.edges:
-        a, b = ids[u], ids[v]
-        if a == b:
-            continue
-        cap[a][b] = cap[a].get(b, 0) + 1
-        cap[b][a] = cap[b].get(a, 0) + 1
-    flow = 0
-    while stop_at is None or flow < stop_at:
-        parent = {0: 0}
-        queue = [0]
-        while queue and 1 not in parent:
-            x = queue.pop(0)
-            for y, c in cap[x].items():
-                if c > 0 and y not in parent:
+    nbrs = _neighbor_tuples(g)
+    flow: set[tuple[int, int]] = set()  # arcs (x, y) carrying a unit from x to y
+    value = 0
+    while stop_at is None or value < stop_at:
+        parent = dict.fromkeys(side_s)
+        queue = list(side_s)
+        for x in queue:
+            for y in nbrs[x]:
+                if y not in parent and (x, y) not in flow:
                     parent[y] = x
+                    if y in side_t:
+                        break
                     queue.append(y)
-        if 1 not in parent:
-            return flow, frozenset(v for v in range(g.n) if ids[v] in parent)
-        y = 1
-        while y != 0:
+            else:
+                continue
+            break
+        else:
+            return value, frozenset(parent)
+        while y not in side_s:
             x = parent[y]
-            cap[x][y] -= 1
-            cap[y][x] = cap[y].get(x, 0) + 1
+            flow ^= {(y, x) if (y, x) in flow else (x, y)}  # cancel a unit back, or send one
             y = x
-        flow += 1
-    return flow, None
+        value += 1
+    return value, None
 
 
 def is_essentially_4_edge_connected(g: Graph) -> tuple[bool, CutCertificate | None]:

@@ -37,8 +37,7 @@ class Graph:
         return hash((self.n, self.edges))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        m = adjacency_masks(self)[v]
-        return tuple(u for u in range(self.n) if m >> u & 1)
+        return _neighbor_tuples(self)[v]
 
 
 def build(n: int, edges, labels: dict[int, str] | None = None) -> Graph:
@@ -74,6 +73,14 @@ def adjacency_masks(g: Graph) -> tuple[int, ...]:
             adj[v] |= 1 << u
         masks = g.__dict__["_masks"] = tuple(adj)
     return masks
+
+
+def _neighbor_tuples(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Per-vertex ascending neighbor tuples, cached on g like the masks."""
+    if "_nbrs" not in g.__dict__:
+        g.__dict__["_nbrs"] = tuple(tuple(u for u in range(g.n) if m >> u & 1)
+                                    for m in adjacency_masks(g))
+    return g.__dict__["_nbrs"]
 
 
 def is_cubic(g: Graph) -> bool:

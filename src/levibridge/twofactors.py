@@ -7,9 +7,10 @@ matchings, so enumerating matchings enumerates 2-factors. A graph is pseudo
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, adjacency_masks, is_cubic
+from .graphs import Graph, GraphError, _neighbor_tuples, adjacency_masks, is_cubic
 
 ALL_ODD = "AllOdd"
 ALL_EVEN = "AllEven"
@@ -24,33 +25,69 @@ class TwoFactorReport:
     status: str
 
 
+def _walk(g: Graph):
+    """Depth-first walk over the perfect matchings of g, without recursion.
+
+    Matches the lowest uncovered vertex v to each uncovered neighbour u in
+    ascending order, so matchings come in lexicographic order. Each leaf
+    yields the pairs (one list, overwritten) and, for cubic g, the number
+    of cycles of the 2-factor left over. Matching v to u adds its edges at
+    v and u to uncovered vertices; `end[x]` is the far end of the path
+    ending at x, and joining a path's two ends closes a cycle. A branch
+    dies once an uncovered vertex has no uncovered neighbour: for cubic g
+    that keeps every vertex on two such edges at most, as the undo log needs.
+    """
+    n = g.n
+    if n % 2:
+        return
+    adj = adjacency_masks(g)
+    arcs = [tuple((a, b) for b in nb) for a, nb in enumerate(_neighbor_tuples(g))]
+    full = (1 << n) - 1
+    end = list(range(n))
+    log: list[int] = []  # flattened (vertex, its previous end) pairs
+    pairs = [(0, 0)] * (n // 2)
+    if not n:
+        yield pairs, 0
+        return
+    frames = [(0, adj[0], 0, 0, 0)]  # (v, untried partners, covered, cycles, log mark)
+    while frames:
+        v, untried, covered, cycles, mark = frames[-1]
+        while len(log) > mark:
+            end[log.pop()] = log.pop()
+        if not untried:
+            frames.pop()
+            continue
+        low = untried & -untried
+        frames[-1] = (v, untried ^ low, covered, cycles, mark)
+        u = low.bit_length() - 1
+        covered |= 1 << v | low
+        uncovered = ~covered
+        for a, b in arcs[v] + arcs[u]:
+            if uncovered >> b & 1:
+                if not adj[b] & uncovered:
+                    break  # b can no longer be matched: the branch dies
+                ea, eb = end[a], end[b]
+                if ea == b:
+                    cycles += 1
+                else:
+                    log += (ea, a, eb, b)
+                    end[ea], end[eb] = eb, ea
+        else:
+            pairs[len(frames) - 1] = (v, u)
+            if covered == full:
+                yield pairs, cycles
+            else:
+                v = (uncovered & (covered + 1)).bit_length() - 1
+                frames.append((v, adj[v] & uncovered, covered, cycles, len(log)))
+
+
 def enumerate_perfect_matchings(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     """All perfect matchings, branching on the lowest unmatched vertex.
 
     The branch order (ascending neighbor index at the lowest open vertex)
     makes the output order deterministic and lexicographic.
     """
-    adj = adjacency_masks(g)
-    full = (1 << g.n) - 1
-    out: list[tuple[tuple[int, int], ...]] = []
-    acc: list[tuple[int, int]] = []
-
-    def branch(covered: int):
-        if covered == full:
-            out.append(tuple(acc))
-            return
-        v = ((~covered) & -(~covered)).bit_length() - 1
-        free = adj[v] & ~covered
-        while free:
-            u = (free & -free).bit_length() - 1
-            free &= free - 1
-            acc.append((v, u))
-            branch(covered | 1 << v | 1 << u)
-            acc.pop()
-
-    if g.n % 2 == 0:
-        branch(0)
-    return out
+    return [tuple(pairs) for pairs, _ in _walk(g)]
 
 
 def two_factors(g: Graph) -> list[tuple[tuple[int, int], ...]]:
@@ -91,14 +128,11 @@ def cycle_count(edges, g: Graph) -> int:
 
 def pseudo_2fi(g: Graph) -> TwoFactorReport:
     """Cycle-count parity report over every 2-factor of a cubic graph."""
-    factors = two_factors(g)
-    counts = tuple(sorted(cycle_count(f, g) for f in factors))
-    if not counts:
-        status = NO_TWO_FACTOR
-    elif all(c % 2 == 1 for c in counts):
-        status = ALL_ODD
-    elif all(c % 2 == 0 for c in counts):
-        status = ALL_EVEN
-    else:
-        status = MIXED
+    if not is_cubic(g):
+        raise GraphError("two_factors needs a cubic graph")
+    hist = Counter(cycles for _, cycles in _walk(g))
+    counts = tuple(c for c in sorted(hist) for _ in range(hist[c]))
+    parities = {c % 2 for c in hist}
+    status = (NO_TWO_FACTOR if not hist else MIXED if len(parities) == 2
+              else ALL_ODD if 1 in parities else ALL_EVEN)
     return TwoFactorReport(len(counts), counts, status)

@@ -4,7 +4,8 @@ The oracle for cyclic edge connectivity is pure brute force: try every edge
 subset in size order and accept the first whose removal leaves two parts
 that each contain a cycle. The oracle for essential 4-edge-connectivity is
 brute force too: try every set of at most 3 edges and look for a component
-with at least 2 vertices on each side.
+with at least 2 vertices on each side. The max-flow both rest on is checked
+against networkx's Edmonds-Karp on the network with each side contracted.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import networkx as nx
 import pytest
 
 from levibridge.cuts import (
+    _min_cut_between,
     cyclic_edge_connectivity,
     is_essentially_4_edge_connected,
 )
@@ -205,3 +207,57 @@ class TestEssentially4EdgeConnected:
             is_essentially_4_edge_connected(cycle(6))
         with pytest.raises(GraphError):
             is_essentially_4_edge_connected(build(0, []))  # no vertices
+
+
+def _networkx_min_cut(g, side_s, side_t):
+    """Edmonds-Karp on g with side_s and side_t each contracted to one node:
+    the flow value and the vertices reachable from side_s in the residual."""
+    h = nx.DiGraph()
+    h.add_nodes_from(("s", "t"))
+    node = {v: "s" if v in side_s else "t" if v in side_t else v for v in range(g.n)}
+    for u, v in g.edges:
+        a, b = node[u], node[v]
+        if a != b:
+            for x, y in ((a, b), (b, a)):
+                cap = h[x][y]["capacity"] + 1 if h.has_edge(x, y) else 1
+                h.add_edge(x, y, capacity=cap)
+    residual = nx.algorithms.flow.edmonds_karp(h, "s", "t")
+    reach, todo = {"s"}, ["s"]
+    while todo:
+        x = todo.pop()
+        for y, arc in residual[x].items():
+            if arc["capacity"] - arc["flow"] > 0 and y not in reach:
+                reach.add(y)
+                todo.append(y)
+    assert residual.graph["flow_value"] == nx.minimum_cut_value(h, "s", "t")
+    return residual.graph["flow_value"], frozenset(v for v in range(g.n) if node[v] in reach)
+
+
+class TestMinCutBetween:
+    def test_matches_networkx_on_contracted_network(self):
+        rng = random.Random(20223)
+        specs = [(n, _random_cubic(rng, n)) for n in (8, 12, 16, 20, 26) for _ in range(3)]
+        specs += [_joined(rng, k, 6, 8) for k in (1, 2, 3)]
+        cases = []
+        for n, edges in specs:
+            g = build(n, edges)
+            for _ in range(6):
+                picked = rng.sample(range(n), rng.randint(2, min(8, n)))
+                cut = rng.randint(1, len(picked) - 1)
+                cases.append((g, frozenset(picked[:cut]), frozenset(picked[cut:])))
+        # Here a later augmenting path must cancel a unit of an earlier one,
+        # which the random cases above never need.
+        cases.append((build(12, [(0, 3), (0, 9), (0, 10), (1, 3), (1, 7), (1, 10), (2, 6),
+                                 (2, 8), (2, 11), (3, 8), (4, 6), (4, 7), (4, 9), (5, 6),
+                                 (5, 8), (5, 9), (7, 11), (10, 11)]),
+                      frozenset({0, 3}), frozenset({6})))
+        values = set()
+        for g, side_s, side_t in cases:
+            value, side = _networkx_min_cut(g, side_s, side_t)
+            assert _min_cut_between(g, side_s, side_t, None) == (value, side)
+            assert _min_cut_between(g, side_s, side_t, value + 1) == (value, side)
+            for stop_at in range(value + 1):
+                assert _min_cut_between(g, side_s, side_t, stop_at) == (stop_at, None)
+            values.add(value)
+        # Cuts of every size a cubic graph's small sets allow, bridges included.
+        assert {1, 2, 3, 4, 5, 6} <= values

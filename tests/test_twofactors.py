@@ -1,11 +1,14 @@
 """Perfect matchings, 2-factors, and cycle-count parity.
 
-Two independent oracles: the permanent of the biadjacency matrix (sympy)
-counts perfect matchings of bipartite graphs, and exhaustive edge-subset
-enumeration recovers matchings and 2-factors of any small cubic graph.
+Three independent oracles: the permanent of the biadjacency matrix (sympy)
+counts perfect matchings of bipartite graphs, exhaustive edge-subset
+enumeration recovers matchings and 2-factors of any small cubic graph, and
+a recursive enumerate-then-count reference checks the parity report of
+cubic graphs on up to 30 vertices.
 """
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -13,6 +16,7 @@ from sympy import Matrix
 
 from levibridge.graphs import (
     GraphError,
+    adjacency_masks,
     bipartition,
     build,
     complete,
@@ -29,6 +33,7 @@ from levibridge.twofactors import (
     ALL_ODD,
     MIXED,
     NO_TWO_FACTOR,
+    TwoFactorReport,
     cycle_count,
     enumerate_perfect_matchings,
     pseudo_2fi,
@@ -78,6 +83,102 @@ def _subset_two_factors(g) -> set:
     return out
 
 
+def _recursive_matchings(g) -> list:
+    """Reference enumerator: recursion on the lowest unmatched vertex."""
+    adj = adjacency_masks(g)
+    full = (1 << g.n) - 1
+    out, acc = [], []
+
+    def branch(covered: int):
+        if covered == full:
+            out.append(tuple(acc))
+            return
+        v = ((~covered) & -(~covered)).bit_length() - 1
+        free = adj[v] & ~covered
+        while free:
+            u = (free & -free).bit_length() - 1
+            free &= free - 1
+            acc.append((v, u))
+            branch(covered | 1 << v | 1 << u)
+            acc.pop()
+
+    if g.n % 2 == 0:
+        branch(0)
+    return out
+
+
+def _reference_cycle_count(edges, n: int) -> int:
+    """Cycles of a spanning 2-regular edge set, walked one by one."""
+    nbr = [[] for _ in range(n)]
+    for u, v in edges:
+        nbr[u].append(v)
+        nbr[v].append(u)
+    assert all(len(x) == 2 for x in nbr)
+    seen = [False] * n
+    count = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        count += 1
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            a, b = nbr[v]
+            v = a if not seen[a] else b
+    return count
+
+
+def _reference_report(g) -> TwoFactorReport:
+    """Build every 2-factor as the complement of a matching, then count."""
+    counts = []
+    for matching in _recursive_matchings(g):
+        gone = set(matching)
+        counts.append(_reference_cycle_count([e for e in g.edges if e not in gone], g.n))
+    counts = tuple(sorted(counts))
+    if not counts:
+        status = NO_TWO_FACTOR
+    elif all(c % 2 == 1 for c in counts):
+        status = ALL_ODD
+    elif all(c % 2 == 0 for c in counts):
+        status = ALL_EVEN
+    else:
+        status = MIXED
+    return TwoFactorReport(len(counts), counts, status)
+
+
+def _relabelled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _random_cubic_edges(rng, n):
+    return list(nx.random_regular_graph(3, n, seed=rng.randrange(2**32)).edges())
+
+
+def _bridge_joined(rng, n1, n2):
+    """Two random cubic graphs, one edge of each subdivided, the two new
+    vertices joined by a bridge."""
+    e1 = _random_cubic_edges(rng, n1)
+    e2 = [(u + n1, v + n1) for u, v in _random_cubic_edges(rng, n2)]
+    x = e1.pop(rng.randrange(len(e1)))
+    y = e2.pop(rng.randrange(len(e2)))
+    s, t = n1 + n2, n1 + n2 + 1
+    edges = e1 + e2 + [(x[0], s), (x[1], s), (y[0], t), (y[1], t), (s, t)]
+    return n1 + n2 + 2, edges
+
+
+def _no_two_factor_gadget():
+    """Three subdivided-K4 gadgets hung on one central vertex: deleting the
+    center leaves three odd components, so no perfect matching."""
+    edges = []
+    for i in range(3):
+        a, b, c, d, w = range(5 * i, 5 * i + 5)
+        edges += [(a, c), (a, d), (b, c), (b, d), (c, d), (a, w), (w, b)]
+        edges.append((w, 15))
+    return build(16, edges)
+
+
 CUBIC_CORPUS = {
     "k4": complete(4),
     "k33": k33(),
@@ -119,6 +220,12 @@ class TestPerfectMatchings:
         first = enumerate_perfect_matchings(heawood())
         assert first == enumerate_perfect_matchings(heawood())
         assert first == sorted(first)
+
+    def test_long_path_needs_no_recursion(self):
+        # Recursing once per matched pair would overflow the stack here.
+        n = 4000
+        g = build(n, [(v, v + 1) for v in range(n - 1)])
+        assert enumerate_perfect_matchings(g) == [tuple((v, v + 1) for v in range(0, n, 2))]
 
 
 class TestTwoFactors:
@@ -192,14 +299,7 @@ class TestParityReport:
         assert report.status == MIXED
 
     def test_no_two_factor(self):
-        # Three subdivided-K4 gadgets hung on one central vertex: deleting
-        # the center leaves three odd components, so no perfect matching.
-        edges = []
-        for i in range(3):
-            a, b, c, d, w = range(5 * i, 5 * i + 5)
-            edges += [(a, c), (a, d), (b, c), (b, d), (c, d), (a, w), (w, b)]
-            edges.append((w, 15))
-        g = build(16, edges)
+        g = _no_two_factor_gadget()
         report = pseudo_2fi(g)
         assert report.matching_count == 0
         assert report.status == NO_TWO_FACTOR
@@ -220,3 +320,23 @@ class TestParityReport:
                 assert report.status == ALL_EVEN, name
             else:
                 assert report.status == MIXED, name
+
+    def test_matches_recursive_reference(self):
+        rng = random.Random(20221)
+        graphs = [_relabelled(rng, n, _random_cubic_edges(rng, n))
+                  for n in range(12, 31, 2) for _ in range(2)]
+        graphs += [_relabelled(rng, *_bridge_joined(rng, n1, n2))
+                   for n1, n2 in ((4, 4), (4, 6), (6, 8), (8, 10), (10, 12), (12, 14))]
+        graphs += [_relabelled(rng, h.n, h.edges)
+                   for h in (heawood(), pappus(), petersen(), gp(12, 1), gp(15, 1))]
+        graphs += [_no_two_factor_gadget(), build(0, [])]
+        statuses, most_cycles = set(), 0
+        for g in graphs:
+            expected = _reference_report(g)
+            assert pseudo_2fi(g) == expected, g
+            assert enumerate_perfect_matchings(g) == _recursive_matchings(g), g
+            statuses.add(expected.status)
+            most_cycles = max(most_cycles, *expected.cycle_counts, 0)
+        # The set reaches every status and 2-factors of more than 4 cycles.
+        assert statuses == {ALL_ODD, ALL_EVEN, MIXED, NO_TWO_FACTOR}
+        assert most_cycles > 4
