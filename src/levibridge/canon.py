@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, adjacency_masks, build, graph6_encode
-from .groups import PermGroup, StabChain, orbit
+from .groups import PermGroup, StabChain, _image, _orbit
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,19 @@ def _mask(cell) -> int:
     for v in cell:
         m |= 1 << v
     return m
+
+
+def _labelling_map(lab_a, lab_b, edges, target_edges) -> tuple[int, ...]:
+    """The vertex map lab_a[p] -> lab_b[p], checked to send every edge into
+    target_edges: two labellings giving one certificate must yield it."""
+    phi = [0] * len(lab_a)
+    for a, b in zip(lab_a, lab_b):
+        phi[a] = b
+    for u, v in edges:
+        a, b = phi[u], phi[v]
+        if ((a, b) if a < b else (b, a)) not in target_edges:
+            raise AssertionError("labellings with equal certificates gave a non-isomorphism")
+    return tuple(phi)
 
 
 def _refine(adj, cells, queue):
@@ -112,17 +125,8 @@ class _Search:
         return cert, lab
 
     def _record_auto(self, lab_a, lab_b):
-        if lab_a == lab_b:
-            return
-        perm = [0] * self.n
-        for p in range(self.n):
-            perm[lab_a[p]] = lab_b[p]
-        perm = tuple(perm)
-        for u, v in self.edges:
-            a, b = perm[u], perm[v]
-            if ((a, b) if a < b else (b, a)) not in self.edge_set:
-                raise AssertionError("harvested mapping is not an automorphism")
-        self.chain.add(perm)
+        if lab_a != lab_b:
+            self.chain.add(_labelling_map(lab_a, lab_b, self.edges, self.edge_set))
 
     def _prefix_beats(self, path, ref) -> bool:
         """True when ref (a stored full path) is still reachable from path."""
@@ -180,13 +184,12 @@ class _Search:
             autos = self.chain.generators
             if seen != len(autos):  # a child found automorphisms: orbits may merge
                 seen = len(autos)
-                fixing = PermGroup(
-                    self.n, [p for p in autos if all(p[x] == x for x in prefix)])
-                covered = set().union(*(orbit(fixing, w) for w in tried))
+                fixing = [p for p in autos if all(p[x] == x for x in prefix)]
+                covered = _orbit(tried, fixing, _image)
             if v in covered:
                 continue
             tried.append(v)
-            covered |= orbit(fixing, v)
+            covered |= _orbit((v,), fixing, _image)
             rest = tuple(u for u in cell if u != v)
             child = list(cells)
             child[target:target + 1] = [(v,), rest]
@@ -238,15 +241,7 @@ def isomorphism(g: Graph, h: Graph, cells_g=None, cells_h=None):
     cf_h = canonical_form(h, cells_h)
     if cf_g.certificate != cf_h.certificate or cf_g.color_sizes != cf_h.color_sizes:
         return None
-    phi = [0] * g.n
-    for p in range(g.n):
-        phi[cf_g.order[p]] = cf_h.order[p]
-    h_edges = set(h.edges)
-    for u, v in g.edges:
-        a, b = phi[u], phi[v]
-        if ((a, b) if a < b else (b, a)) not in h_edges:
-            raise AssertionError("certificate match produced a bad mapping")
-    return tuple(phi)
+    return _labelling_map(cf_g.order, cf_h.order, g.edges, set(h.edges))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -24,7 +24,9 @@ from .graphs import (
     Graph,
     Graph6Error,
     GraphError,
+    adjacency_masks,
     bipartition,
+    components,
     girth,
     gp,
     graph6_decode,
@@ -108,7 +110,7 @@ def _cmd_props(args) -> int:
     for g in _read_graphs(args.file):
         cubic = is_cubic(g)
         ess4 = cyc = None
-        if cubic and g.n <= 40:
+        if cubic and g.n <= 40 and len(components(adjacency_masks(g))) == 1:
             ok, _ = is_essentially_4_edge_connected(g)
             ess4 = ok
             cyc = cyclic_edge_connectivity(g)

@@ -36,6 +36,7 @@ from .incidence import (
     levi_graph,
     moebius_kantor,
 )
+from .twofactors import MIXED, NO_TWO_FACTOR, pseudo_2fi
 
 
 class StructureError(ValueError):
@@ -417,8 +418,6 @@ def identify_goedgebeur() -> tuple[BridgeSpec, Graph]:
     2-factor isomorphic, and contains exactly eight diagonal (alpha == beta)
     specs.
     """
-    from .twofactors import MIXED, NO_TWO_FACTOR, pseudo_2fi
-
     hits = [c for c in bridge_census() if c.aut_order == 144]
     if len(hits) != 1:
         raise StructureError(

@@ -4,7 +4,8 @@ A permutation of degree n is a tuple p of length n with p[i] = image of i.
 A group is kept as its generators plus a stabilizer chain (Schreier-Sims);
 the chain answers order, membership, subgroup and normality questions, and
 groups given as element sets are built through one. `closure` only lists
-elements, for the structure tests that need them at orders in the hundreds.
+elements, for the structure tests that need them at orders in the hundreds;
+it, the orbits and the isomorphism check all close through `_orbit`.
 """
 
 from __future__ import annotations
@@ -63,24 +64,31 @@ def perm_order(a: Perm) -> int:
     return math.lcm(*(len(c) for c in cycles(a))) if a else 1
 
 
+def _orbit(seeds, gens, act) -> set:
+    """Union of the seeds' orbits under x -> act(x, g), closed breadth first.
+
+    One FIFO queue adds elements in the order a level-by-level frontier
+    would; a set's iteration order, which `order_profile` passes on, can
+    depend on the order of insertion.
+    """
+    seen = set(seeds)
+    queue = list(seen)
+    for x in queue:  # grows while the orbit does
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
 def closure(generators, degree: int) -> frozenset[Perm]:
     """Breadth-first product closure of the generators: the element list."""
     gens = [tuple(g) for g in generators]
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise GroupError(f"not a permutation of degree {degree}: {g}")
-    elems = {identity(degree)}
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(elems)
+    return frozenset(_orbit([identity(degree)], gens, compose))
 
 
 class StabChain:
@@ -214,7 +222,7 @@ def is_normal(sub: PermGroup, group: PermGroup) -> bool:
     )
 
 
-def _image(p: Perm, obj):
+def _image(obj, p: Perm):
     if isinstance(obj, int):
         return p[obj]
     return frozenset(p[x] for x in obj)
@@ -222,24 +230,14 @@ def _image(p: Perm, obj):
 
 def orbit(group: PermGroup, obj) -> frozenset:
     """Orbit of a point (int) or a setwise-moved frozenset of points."""
-    seen = {obj if isinstance(obj, int) else frozenset(obj)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in group.generators:
-                y = _image(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+    key = obj if isinstance(obj, int) else frozenset(obj)
+    return frozenset(_orbit([key], group.generators, _image))
 
 
 def stabilizer(group: PermGroup, obj) -> PermGroup:
     """Elements fixing a point, or fixing a vertex set setwise."""
     key = obj if isinstance(obj, int) else frozenset(obj)
-    elems = (p for p in group.elements if _image(p, key) == key)
+    elems = (p for p in group.elements if _image(key, p) == key)
     return PermGroup.from_chain(StabChain(group.degree, elems))
 
 
@@ -284,24 +282,22 @@ def _generating_sequence(group: PermGroup) -> list[Perm]:
 
 def _extends_to_isomorphism(a: PermGroup, gens: list[Perm], imgs: list[Perm],
                             b: PermGroup) -> bool:
-    """Check that gens -> imgs extends to a bijective homomorphism a -> b."""
-    phi = {identity(a.degree): identity(b.degree)}
-    frontier = list(phi)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            fx = phi[x]
-            for g, h in zip(gens, imgs):
-                y = compose(x, g)
-                fy = compose(fx, h)
-                if y in phi:
-                    if phi[y] != fy:
-                        return False
-                else:
-                    phi[y] = fy
-                    nxt.append(y)
-        frontier = nxt
-    return len(phi) == a.order and len(set(phi.values())) == b.order
+    """Check that gens -> imgs extends to a bijective homomorphism a -> b.
+
+    The pairs reached from (id, id) by the paired generators (g_i, h_i) form
+    the subgroup P of A x B that they generate. P is the graph of a map
+    A -> B exactly when its first coordinates are all of A and no two pairs
+    share one; the map is then a homomorphism, P being a subgroup, and a
+    bijection onto B exactly when no two pairs share a second coordinate
+    and |A| = |B|. So the test is that pairs, firsts and seconds all number
+    |A| = |B|. P holds at most |A| * |B| pairs, which the order guard of
+    `groups_isomorphic` bounds.
+    """
+    pairs = _orbit([(identity(a.degree), identity(b.degree))], list(zip(gens, imgs)),
+                   lambda xy, gh: (compose(xy[0], gh[0]), compose(xy[1], gh[1])))
+    firsts = {x for x, _ in pairs}
+    seconds = {y for _, y in pairs}
+    return len(pairs) == len(firsts) == len(seconds) == a.order == b.order
 
 
 def groups_isomorphic(a: PermGroup, b: PermGroup) -> bool:

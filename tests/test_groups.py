@@ -19,6 +19,8 @@ from levibridge.groups import (
     GroupError,
     PermGroup,
     StabChain,
+    _extends_to_isomorphism,
+    _orbit,
     closure,
     compose,
     cycle_type,
@@ -221,6 +223,39 @@ class TestChainAnswersMatchSympy:
         from_set = PermGroup.from_chain(StabChain(degree, sub_gens))
         assert from_set.order == ss.order()
         assert from_set.elements == closure(sub_gens, degree)
+
+
+@st.composite
+def _orbit_cases(draw):
+    degree = draw(st.integers(min_value=1, max_value=7))
+    perm = st.permutations(range(degree)).map(tuple)
+    gens = draw(st.lists(perm, max_size=4))
+    return degree, gens, draw(st.lists(st.integers(0, degree - 1), max_size=degree))
+
+
+class TestOrbitRoutine:
+    @settings(max_examples=300, deadline=None)
+    @given(_orbit_cases())
+    def test_union_of_seed_orbits_matches_orbit_and_sympy(self, case):
+        degree, gens, seeds = case
+        union = _orbit(seeds, gens, lambda x, p: p[x])
+        group, sg = PermGroup(degree, gens), _sympy_perms(degree, gens)
+        assert union == set().union(*(orbit(group, s) for s in seeds))
+        assert union == set().union(*(sg.orbit(s) for s in seeds))
+
+    def test_extends_to_isomorphism(self):
+        c4 = cyclic(4)
+        r = c4.generators[0]
+        r2, r3 = compose(r, r), compose(r, compose(r, r))
+        assert _extends_to_isomorphism(c4, [r], [r3], c4)
+        assert _extends_to_isomorphism(z3z3(), list(z3z3().generators)[::-1],
+                                       list(z3z3().generators), z3z3())
+        # Consistent, a homomorphism even, but two-to-one.
+        assert not _extends_to_isomorphism(c4, [r], [r2], c4)
+        # Klein four into Z4, both generators to r: a * a = id would go to
+        # r^2 as well as to id, so the map is no function.
+        klein = PermGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
+        assert not _extends_to_isomorphism(klein, list(klein.generators), [r, r], c4)
 
 
 class TestGroupIsomorphism:

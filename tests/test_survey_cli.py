@@ -8,6 +8,7 @@ import itertools
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +170,22 @@ def _cli(*args, stdin: str | None = None):
     )
 
 
+PAPER = Path(__file__).resolve().parents[1] / "bench" / "data" / "paper"
+
+
+@pytest.mark.parametrize("name, args", [
+    ("gen_goedgebeur", ["gen", "goedgebeur"]),
+    ("survey_p2fi", ["survey", "--p2fi"]),
+    ("refute", ["refute"]),
+    ("aut_structure", ["aut", "--structure"]),
+])
+def test_paper_commands_print_the_pinned_bytes(name, args):
+    out = subprocess.run([sys.executable, "-m", "levibridge.cli", *args],
+                         capture_output=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (PAPER / f"{name}.out").read_bytes()
+
+
 class TestCli:
     def test_gen_goedgebeur(self):
         out = _cli("gen", "goedgebeur")
@@ -206,6 +223,15 @@ class TestCli:
         assert report["cyclic_edge_connectivity"] == 6
         assert report["essentially_4_edge_connected"]
         assert report["aut_order"] == 144
+
+    @pytest.mark.parametrize("g6", ["G~?GW[", "?"])  # two disjoint K4s; no vertices
+    def test_props_disconnected_cubic_has_null_cuts(self, g6):
+        out = _cli("props", stdin=g6 + "\n")
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert report["cubic"]
+        assert report["essentially_4_edge_connected"] is None
+        assert report["cyclic_edge_connectivity"] is None
 
     def test_p2fi_pipeline(self):
         out = _cli("p2fi", stdin=_cli("gen", "k33").stdout)
