@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, adjacency_masks, build, graph6_encode
-from .groups import PermGroup, StabChain, _image, _orbit
+from .groups import PermGroup, _image, _orbit
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class CanonicalForm:
     certificate: bytes
     order: tuple[int, ...]  # order[p] = original vertex at canonical position p
     color_sizes: tuple[int, ...]
-    # The automorphisms the same search kept, with its stabilizer chain;
-    # elements close lazily.
+    # The group of the automorphisms the same search kept; elements close lazily.
     group: PermGroup = field(compare=False, repr=False)
 
 
@@ -105,7 +104,7 @@ class _Search:
         self.tri = self.n * (self.n - 1) // 2
         self.best = None  # (path, cert, labeling)
         self.first = None  # (path, cert, labeling, prefix) of the first leaf
-        self.chain = StabChain(self.n)  # chain.generators: the kept automorphisms
+        self.group = PermGroup(self.n)  # group.generators: the kept automorphisms
         root, trace = _refine(self.adj, cells, list(cells))
         inv = (tuple(len(c) for c in root), trace)
         self._node(root, (inv,), ())
@@ -126,7 +125,7 @@ class _Search:
 
     def _record_auto(self, lab_a, lab_b):
         if lab_a != lab_b:
-            self.chain.add(_labelling_map(lab_a, lab_b, self.edges, self.edge_set))
+            self.group.add(_labelling_map(lab_a, lab_b, self.edges, self.edge_set))
 
     def _prefix_beats(self, path, ref) -> bool:
         """True when ref (a stored full path) is still reachable from path."""
@@ -181,7 +180,7 @@ class _Search:
         # is the union of the tried children's orbits under those automorphisms.
         tried, covered, seen = [], set(), None
         for v in sorted(cell):
-            autos = self.chain.generators
+            autos = self.group.generators
             if seen != len(autos):  # a child found automorphisms: orbits may merge
                 seen = len(autos)
                 fixing = [p for p in autos if all(p[x] == x for x in prefix)]
@@ -228,8 +227,7 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
         pos[v] = p
     canon = build(g.n, [(pos[u], pos[v]) for u, v in g.edges])
     return CanonicalForm(
-        canon, graph6_encode(canon), lab, tuple(len(c) for c in cells),
-        PermGroup.from_chain(search.chain),
+        canon, graph6_encode(canon), lab, tuple(len(c) for c in cells), search.group
     )
 
 

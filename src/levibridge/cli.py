@@ -24,6 +24,7 @@ from .graphs import (
     Graph,
     Graph6Error,
     GraphError,
+    _g6_bytes_for_n,
     adjacency_masks,
     bipartition,
     components,
@@ -78,8 +79,10 @@ def _emit_graph(g: Graph, labels: bool):
 
 
 def _gen_gp(n: str, k: str) -> Graph:
+    n, k = int(n), int(k)
     try:
-        return gp(int(n), int(k))
+        _g6_bytes_for_n(2 * n)  # refuse a graph graph6 cannot write before building it
+        return gp(n, k)
     except GraphError as exc:  # out-of-range parameters are bad input
         raise ValueError(str(exc)) from exc
 

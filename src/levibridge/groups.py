@@ -1,11 +1,11 @@
 """Small permutation groups as tuples, with closure, structure and isomorphism tests.
 
 A permutation of degree n is a tuple p of length n with p[i] = image of i.
-A group is kept as its generators plus a stabilizer chain (Schreier-Sims);
-the chain answers order, membership, subgroup and normality questions, and
-groups given as element sets are built through one. `closure` only lists
-elements, for the structure tests that need them at orders in the hundreds;
-it, the orbits and the isomorphism check all close through `_orbit`.
+A group is its stabilizer chain (Schreier-Sims), which answers order,
+membership, subgroup and normality questions; a group given as an element
+set is the group those elements generate. `closure` only lists elements,
+for the structure tests that need them at orders in the hundreds; it, the
+orbits and the isomorphism check all close through `_orbit`.
 """
 
 from __future__ import annotations
@@ -91,26 +91,39 @@ def closure(generators, degree: int) -> frozenset[Perm]:
     return frozenset(_orbit([identity(degree)], gens, compose))
 
 
-class StabChain:
-    """Base, strong generators and transversals of a permutation group.
+class PermGroup:
+    """A finite permutation group, kept as its stabilizer chain.
 
     Built by deterministic incremental Schreier-Sims (Seress, Permutation
     Group Algorithms, 2003, ch. 4). Level i holds a base point b_i, the
     generators of the pointwise stabilizer of b_0..b_{i-1}, and for each
     point x of their orbit through b_i an element sending b_i to x, stored
     with its inverse; the order is the product of the orbit lengths.
+    `generators` lists the added elements that enlarged the group, so
+    `PermGroup(degree, elements)` is the group the elements generate;
+    `elements` closes lazily.
     """
 
     def __init__(self, degree: int, generators=()):
         self.degree = degree
-        self.generators: list[Perm] = []  # the added elements that enlarged the group
+        self.generators: list[Perm] = []
         self._levels: list[tuple[int, list[Perm], dict[int, tuple[Perm, Perm]]]] = []
+        self._elements: frozenset[Perm] | None = None
         for g in generators:
             self.add(g)
 
     @property
     def order(self) -> int:
         return math.prod(len(trans) for _, _, trans in self._levels)
+
+    @property
+    def elements(self) -> frozenset[Perm]:
+        if self._elements is None:
+            self._elements = closure(self.generators, self.degree)
+        return self._elements
+
+    def __repr__(self):
+        return f"PermGroup(degree={self.degree}, order={self.order})"
 
     def __contains__(self, p: Perm) -> bool:
         return self._sift(p, 0) == identity(self.degree)
@@ -133,6 +146,7 @@ class StabChain:
         if g in self:
             return False
         self.generators.append(g)
+        self._elements = None
         self._extend(0, g)
         return True
 
@@ -163,49 +177,8 @@ class StabChain:
                 self._extend(i + 1, residue)
 
 
-class PermGroup:
-    """A finite permutation group given by generators.
-
-    Its stabilizer chain is built on first use; elements close lazily.
-    """
-
-    def __init__(self, degree: int, generators=()):
-        self.degree = degree
-        self.generators = tuple(dict.fromkeys(tuple(g) for g in generators))
-        self._elements: frozenset[Perm] | None = None
-        self._chain: StabChain | None = None
-
-    @classmethod
-    def from_chain(cls, chain: StabChain) -> "PermGroup":
-        """The group a chain was built for, generated by chain.generators;
-        `PermGroup.from_chain(StabChain(degree, elements))` is the group
-        the elements generate."""
-        g = cls(chain.degree, chain.generators)
-        g._chain = chain
-        return g
-
-    @property
-    def elements(self) -> frozenset[Perm]:
-        if self._elements is None:
-            self._elements = closure(self.generators, self.degree)
-        return self._elements
-
-    @property
-    def chain(self) -> StabChain:
-        if self._chain is None:
-            self._chain = StabChain(self.degree, self.generators)
-        return self._chain
-
-    @property
-    def order(self) -> int:
-        return self.chain.order
-
-    def __repr__(self):
-        return f"PermGroup(degree={self.degree}, order={self.order})"
-
-
 def is_subgroup(sub: PermGroup, group: PermGroup) -> bool:
-    return sub.degree == group.degree and all(x in group.chain for x in sub.generators)
+    return sub.degree == group.degree and all(x in group for x in sub.generators)
 
 
 def is_normal(sub: PermGroup, group: PermGroup) -> bool:
@@ -217,7 +190,7 @@ def is_normal(sub: PermGroup, group: PermGroup) -> bool:
     if not is_subgroup(sub, group):
         raise GroupError("is_normal needs sub <= group")
     return all(
-        compose(g, compose(x, inverse(g))) in sub.chain
+        compose(g, compose(x, inverse(g))) in sub
         for g in group.generators for x in sub.generators
     )
 
@@ -238,7 +211,7 @@ def stabilizer(group: PermGroup, obj) -> PermGroup:
     """Elements fixing a point, or fixing a vertex set setwise."""
     key = obj if isinstance(obj, int) else frozenset(obj)
     elems = (p for p in group.elements if _image(key, p) == key)
-    return PermGroup.from_chain(StabChain(group.degree, elems))
+    return PermGroup(group.degree, elems)
 
 
 def order_profile(group: PermGroup) -> dict[int, int]:
@@ -273,11 +246,11 @@ def edge_action(p: Perm, edges) -> Perm:
 def _generating_sequence(group: PermGroup) -> list[Perm]:
     """Greedy short generating sequence, deterministic for a given group:
     elements by descending order, each kept if it enlarges the group so far."""
-    chain = StabChain(group.degree)
+    seq = PermGroup(group.degree)
     for x in sorted(group.elements, key=lambda p: (-perm_order(p), p)):
-        if chain.add(x) and chain.order == group.order:
+        if seq.add(x) and seq.order == group.order:
             break
-    return chain.generators
+    return seq.generators
 
 
 def _extends_to_isomorphism(a: PermGroup, gens: list[Perm], imgs: list[Perm],
@@ -314,14 +287,14 @@ def groups_isomorphic(a: PermGroup, b: PermGroup) -> bool:
     by_order: dict[int, list[Perm]] = {}
     for p in sorted(b.elements):
         by_order.setdefault(perm_order(p), []).append(p)
-    sub_sizes = [StabChain(a.degree, gens[: i + 1]).order for i in range(len(gens))]
+    sub_sizes = [PermGroup(a.degree, gens[: i + 1]).order for i in range(len(gens))]
 
     def assign(i: int, imgs: list[Perm]) -> bool:
         if i == len(gens):
             return _extends_to_isomorphism(a, gens, imgs, b)
         for cand in by_order.get(perm_order(gens[i]), []):
             trial = imgs + [cand]
-            if StabChain(b.degree, trial).order != sub_sizes[i]:
+            if PermGroup(b.degree, trial).order != sub_sizes[i]:
                 continue
             if assign(i + 1, trial):
                 return True

@@ -21,7 +21,6 @@ from .cuts import cyclic_edge_connectivity, is_essentially_4_edge_connected
 from .graphs import Graph, bipartition, girth, heawood, is_cubic, k33, pappus
 from .groups import (
     PermGroup,
-    StabChain,
     compose,
     cycle_type,
     cycles,
@@ -130,7 +129,7 @@ def klein_coset_partition() -> tuple[tuple[tuple[int, ...], ...], ...]:
     top = set(rows[0]) | set(rows[1])
     if not all(compose(a, b) in top for a in top for b in top):
         raise StructureError("rows 0-1 are not closed under composition")
-    top_group = PermGroup.from_chain(StabChain(4, top))
+    top_group = PermGroup(4, top)
     if not groups_isomorphic(top_group, dihedral(4)):
         raise StructureError("rows 0-1 are not a dihedral group of order 8")
     return rows
@@ -173,8 +172,9 @@ def aut_structure(g: Graph | None = None) -> dict:
     k_elements = frozenset(
         p for p in aut.elements if perm_order(p) in (1, 3, 9)
     )
-    K = PermGroup.from_chain(StabChain(aut.degree, k_elements))
-    H = stabilizer(aut, frozenset(e_edge))
+    K = PermGroup(aut.degree, k_elements)
+    stabs = [stabilizer(aut, frozenset(x)) for x in marked]
+    H = stabs[0]  # marked[0] is e
     sd_ok, sd_report = semidirect_certificate(aut, K, H)
 
     marked_sets = {frozenset(x) for x in marked}
@@ -207,7 +207,6 @@ def aut_structure(g: Graph | None = None) -> dict:
         and all(p[v] not in side_a for v in side_a)
     )
 
-    stabs = [stabilizer(aut, frozenset(x)) for x in marked]
     conjugate = True
     for target_edge, target_stab in zip(marked[1:], stabs[1:]):
         moved = False

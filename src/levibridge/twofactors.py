@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, _neighbor_tuples, adjacency_masks, is_cubic
+from .graphs import Graph, GraphError, _neighbor_tuples, adjacency_masks
 
 ALL_ODD = "AllOdd"
 ALL_EVEN = "AllEven"
@@ -90,10 +90,16 @@ def enumerate_perfect_matchings(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     return [tuple(pairs) for pairs, _ in _walk(g)]
 
 
+def _require_cubic(g: Graph, what: str) -> None:
+    for v, m in enumerate(adjacency_masks(g)):
+        if m.bit_count() != 3:
+            raise GraphError(
+                f"{what} needs a cubic graph; vertex {v} has degree {m.bit_count()}")
+
+
 def two_factors(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     """Complements of the perfect matchings; requires a cubic graph."""
-    if not is_cubic(g):
-        raise GraphError("two_factors needs a cubic graph")
+    _require_cubic(g, "two_factors")
     out = []
     for matching in enumerate_perfect_matchings(g):
         gone = set(matching)
@@ -128,8 +134,7 @@ def cycle_count(edges, g: Graph) -> int:
 
 def pseudo_2fi(g: Graph) -> TwoFactorReport:
     """Cycle-count parity report over every 2-factor of a cubic graph."""
-    if not is_cubic(g):
-        raise GraphError("two_factors needs a cubic graph")
+    _require_cubic(g, "the 2-factor parity report")
     hist = Counter(cycles for _, cycles in _walk(g))
     counts = tuple(c for c in sorted(hist) for _ in range(hist[c]))
     parities = {c % 2 for c in hist}

@@ -156,7 +156,7 @@ class _RefineAllSearch(_Search):
             inv = (tuple(len(c) for c in refined), trace)
             children.append((inv, v, refined))
         children.sort(key=lambda item: (item[0], item[1]))
-        autos = self.chain.generators
+        autos = self.group.generators
         uf, seen, tried = _UnionFind(self.n), 0, []
         for inv, v, refined in children:
             for p in autos[seen:]:
@@ -178,7 +178,7 @@ def _refine_all_form(g):
     for p, v in enumerate(lab):
         pos[v] = p
     cert = graph6_encode(build(g.n, [(pos[u], pos[v]) for u, v in g.edges]))
-    return cert, lab, search.chain.order
+    return cert, lab, search.group.order
 
 
 def _brute_force_certificate(g) -> bytes:
@@ -269,19 +269,24 @@ def _union(a, b):
     return build(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
 
 
+def _rook_and_shrikhande():
+    """The 4x4 rook's graph and the Shrikhande graph: both strongly regular
+    with parameters (16, 6, 2, 2), so refinement cannot tell them apart."""
+    return (_z4z4_cayley([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)]),
+            _z4z4_cayley([(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)]))
+
+
 class TestSearchOrder:
     def test_matches_refine_all_search(self):
         """Vertex-order children, backjumping and hit-cell refinement change
         no certificate, labelling or group order of the earlier search.
 
-        The 4x4 rook's graph and the Shrikhande graph are both strongly
-        regular with parameters (16, 6, 2, 2), so refinement cannot tell
-        their union's components apart; there an orbit skip that used
+        Refinement cannot tell the components of the union of the rook's
+        and Shrikhande graphs apart; there an orbit skip that used
         automorphisms moving the node's prefix would change the certificate.
         """
         rng = random.Random(606)
-        rook = _z4z4_cayley([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])
-        shrikhande = _z4z4_cayley([(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)])
+        rook, shrikhande = _rook_and_shrikhande()
         named = [k33(), petersen(), heawood(), pappus(), prism(),
                  moebius_kantor_graph(), gp(10, 2), gp(10, 3), goedgebeur_graph(),
                  _union(rook, shrikhande), _union(shrikhande, rook)]
@@ -291,6 +296,15 @@ class TestSearchOrder:
         for g in graphs:
             cf = canonical_form(g)
             assert (cf.certificate, cf.order, cf.group.order) == _refine_all_form(g), g
+
+    def test_orbit_pruning_uses_only_automorphisms_fixing_the_prefix(self):
+        """A search that pruned with the automorphisms that move the prefix,
+        rather than those that fix it, labels this relabelled union of one
+        rook's and two Shrikhande graphs differently."""
+        rook, shrikhande = _rook_and_shrikhande()
+        g = _shuffle(_union(_union(rook, shrikhande), shrikhande), random.Random(0))
+        cf = canonical_form(g)
+        assert (cf.certificate, cf.order, cf.group.order) == _refine_all_form(g)
 
     def test_refine_matches_every_cell_refinement(self):
         """Refinement from a random ordered partition gives the earlier

@@ -18,7 +18,6 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from levibridge.groups import (
     GroupError,
     PermGroup,
-    StabChain,
     _extends_to_isomorphism,
     _orbit,
     closure,
@@ -177,20 +176,29 @@ class TestStabChain:
 
     def test_add_keeps_only_generators_that_enlarge(self):
         rot = (1, 2, 3, 4, 0)
-        chain = StabChain(5, [identity(5), rot])
-        assert chain.generators == [rot]
-        assert not chain.add(compose(rot, rot))
-        assert chain.add((4, 3, 2, 1, 0))
-        assert not chain.add((0, 4, 3, 2, 1))  # a reflection already in D5
-        assert chain.generators == [rot, (4, 3, 2, 1, 0)]
-        assert chain.order == 10
-        assert PermGroup.from_chain(chain).elements == dihedral(5).elements
+        group = PermGroup(5, [identity(5), rot])
+        assert group.generators == [rot]
+        assert not group.add(compose(rot, rot))
+        assert group.add((4, 3, 2, 1, 0))
+        assert not group.add((0, 4, 3, 2, 1))  # a reflection already in D5
+        assert group.generators == [rot, (4, 3, 2, 1, 0)]
+        assert group.order == 10
+        assert group.elements == dihedral(5).elements
+
+    def test_add_recomputes_elements(self):
+        rot = (1, 2, 3, 4, 0)
+        group = PermGroup(5, [rot])
+        assert group.elements == cyclic(5).elements
+        assert not group.add(compose(rot, rot))
+        assert group.elements == cyclic(5).elements
+        assert group.add((4, 3, 2, 1, 0))
+        assert group.elements == dihedral(5).elements
 
     def test_rejects_non_permutations(self):
         with pytest.raises(GroupError):
-            StabChain(3).add((0, 0, 1))
+            PermGroup(3).add((0, 0, 1))
         with pytest.raises(GroupError):
-            PermGroup(3, [(0, 1)]).order
+            PermGroup(3, [(0, 1)])
 
 
 @st.composite
@@ -220,7 +228,7 @@ class TestChainAnswersMatchSympy:
         assert stabilizer(group, point).order == sg.stabilizer(point).order()
         # An element set need not be closed; the group built from it is the
         # one it generates.
-        from_set = PermGroup.from_chain(StabChain(degree, sub_gens))
+        from_set = PermGroup(degree, sub_gens)
         assert from_set.order == ss.order()
         assert from_set.elements == closure(sub_gens, degree)
 

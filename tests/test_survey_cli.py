@@ -14,7 +14,7 @@ import pytest
 
 from levibridge.canon import canonical_form
 from levibridge.construction import bridge_census, bridge_graph, goedgebeur_graph
-from levibridge.groups import PermGroup, StabChain, dihedral, groups_isomorphic
+from levibridge.groups import PermGroup, dihedral, groups_isomorphic
 from levibridge.graphs import build, graph6_encode, heawood, k33, petersen
 from levibridge.survey import (
     StructureError,
@@ -81,7 +81,7 @@ class TestKleinCosetPartition:
         assert set(rows[0]) == {
             (0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)
         }
-        four = PermGroup.from_chain(StabChain(4, rows[0]))
+        four = PermGroup(4, rows[0])
         assert four.order == 4
         from levibridge.groups import order_profile
 
@@ -89,7 +89,7 @@ class TestKleinCosetPartition:
 
     def test_first_two_rows_form_a_dihedral_group(self):
         rows = klein_coset_partition()
-        eight = PermGroup.from_chain(StabChain(4, rows[0] + rows[1]))
+        eight = PermGroup(4, rows[0] + rows[1])
         assert eight.order == 8
         assert groups_isomorphic(eight, dihedral(4))
 
@@ -338,6 +338,19 @@ class TestCli:
             err = capsys.readouterr().err
             assert f"levibridge: error: gp({n}, {k}) needs 1 <= k < n/2" in err
 
+    def test_gen_gp_beyond_graph6_exits_1_before_building(self, capsys, monkeypatch):
+        # 2N vertices above graph6's limit is bad input, refused before gp runs.
+        from levibridge import cli
+
+        def no_build(n, k):
+            raise AssertionError(f"gp({n}, {k}) was built")
+
+        monkeypatch.setattr(cli, "gp", no_build)
+        for n in ("130000", "99999999"):
+            assert cli.main(["gen", "gp", n, "1"]) == 1
+            err = capsys.readouterr().err
+            assert f"graph6 supports n <= 258047, got {2 * int(n)}" in err
+
     def test_config_flags_are_mutually_exclusive(self, capsys):
         from levibridge.cli import main
 
@@ -375,3 +388,14 @@ class TestCli:
 
         out = _cli("p2fi", stdin=graph6_encode(cycle(6)).decode() + "\n")
         assert out.returncode == 2
+
+    def test_p2fi_on_k3_names_the_report_and_the_degree(self, tmp_path, capsys):
+        from levibridge.cli import main
+        from levibridge.graphs import cycle
+
+        path = tmp_path / "k3.g6"
+        path.write_bytes(graph6_encode(cycle(3)) + b"\n")
+        assert main(["p2fi", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "levibridge: structural failure: the 2-factor parity report needs "
+            "a cubic graph; vertex 0 has degree 2\n")

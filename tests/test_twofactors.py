@@ -242,6 +242,12 @@ class TestTwoFactors:
         with pytest.raises(GraphError):
             two_factors(cycle(6))
 
+    def test_parity_report_names_itself_and_the_degree_seen(self):
+        g = build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K4 less an edge
+        with pytest.raises(GraphError, match=r"^the 2-factor parity report needs a "
+                           r"cubic graph; vertex 2 has degree 2$"):
+            pseudo_2fi(g)
+
     def test_complement_structure(self):
         g = petersen()
         matchings = enumerate_perfect_matchings(g)
