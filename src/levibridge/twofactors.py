@@ -3,6 +3,18 @@
 In a cubic graph the 2-factors are exactly the complements of the perfect
 matchings, so enumerating matchings enumerates 2-factors. A graph is pseudo
 2-factor isomorphic when every 2-factor has the same parity of cycle count.
+
+The parity report needs only the histogram of cycle counts over all
+2-factors, and two engines compute it. The matching walk lists every
+matching, so its time grows with their number, exponentially in n. The
+frontier dynamic program (Knuth's SIMPATH, TAOCP 4A 7.1.4; Kawahara et al.,
+"Frontier-based search", IEICE Trans. Fundamentals E100-A, 2017) places the
+vertices one at a time and keeps, per boundary configuration, the
+polynomial of closed cycles; its cost grows with the number of
+configurations, exponentially in the frontier width. Both count the same
+2-factors by their cycles, so the choice between them never changes a
+report; `pseudo_2fi` takes the DP when the frontier width is at most
+FRONTIER_WIDTH and the walk otherwise.
 """
 
 from __future__ import annotations
@@ -10,12 +22,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, _neighbor_tuples, adjacency_masks
+from .graphs import Graph, GraphError, _neighbor_tuples, adjacency_masks, bfs_layers
 
 ALL_ODD = "AllOdd"
 ALL_EVEN = "AllEven"
 MIXED = "Mixed"
 NO_TWO_FACTOR = "NoTwoFactor"
+
+# Widest frontier on which pseudo_2fi runs the DP rather than the walk.
+FRONTIER_WIDTH = 5
 
 
 @dataclass(frozen=True)
@@ -90,6 +105,135 @@ def enumerate_perfect_matchings(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     return [tuple(pairs) for pairs, _ in _walk(g)]
 
 
+def _frontier_order(g: Graph, width: int) -> list[int] | None:
+    """A vertex order with a small frontier, or None once it passes width.
+
+    The frontier after a step is the set of placed vertices that still have
+    an unplaced neighbour. Each component starts at a pseudo-peripheral
+    vertex, the end of a double breadth-first sweep from its lowest vertex.
+    Every later step places the unplaced neighbour of a placed vertex that
+    leaves the smallest frontier, then the one with the fewest unplaced
+    neighbours, then the lowest. Building stops as soon as the frontier
+    passes width, so a wide graph pays for only a few steps.
+    """
+    adj = adjacency_masks(g)
+    nbrs = _neighbor_tuples(g)
+    left = [len(nb) for nb in nbrs]  # unplaced neighbours of each vertex
+    unplaced = (1 << g.n) - 1
+    order: list[int] = []
+    reach = size = 0  # unplaced vertices next to placed ones; frontier size
+    while unplaced:
+        if not reach:
+            root = (unplaced & -unplaced).bit_length() - 1
+            for _ in range(2):
+                *_, far = bfs_layers(adj, root)
+                root = (far & -far).bit_length() - 1
+            reach = 1 << root
+        keys, rest = [], reach
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
+            grow = (left[c] > 0) - sum(left[u] == 1 for u in nbrs[c] if not unplaced >> u & 1)
+            keys.append((grow, left[c], c))
+        grow, _, v = min(keys)
+        size += grow
+        if size > width:
+            return None
+        order.append(v)
+        unplaced ^= 1 << v
+        reach = (reach | adj[v]) & unplaced
+        for u in nbrs[v]:
+            left[u] -= 1
+    return order
+
+
+_OPEN, _DONE = -1, -2  # frontier codes for degree 0 and degree 2
+
+
+def _degree(code: int) -> int:
+    return 1 if code >= 0 else 0 if code == _OPEN else 2
+
+
+def _frontier_histogram(g: Graph, width: int) -> Counter | None:
+    """Cycle-count histogram of the 2-factors of cubic g, by a frontier DP.
+
+    Returns None when `_frontier_order` passes width. Placing a vertex
+    decides its edges to placed neighbours one at a time. A state gives each
+    frontier vertex a code: _OPEN (degree 0), _DONE (degree 2), or for a
+    path end the frontier vertex at the path's other end. Taking an edge
+    between the two ends of one path closes a cycle. An edge is left out
+    only while both its ends can still reach degree 2, so every vertex
+    leaves the frontier with degree 2, and the left-out edges of a partial
+    2-factor form a matching whose vertex set the state fixes.
+
+    A state's value is the polynomial sum_c N_c x^c, where N_c counts the
+    partial 2-factors that reach the state with c closed cycles, packed in
+    one int with fields of n/2 + 3 bits; closing a cycle is a shift by one
+    field. N_c is thus at most the number of perfect matchings of a graph
+    of maximum degree 3 on at most n vertices, below 6^(n/6) < 2^(n/2)
+    (Bregman's bound, extended to all graphs by Kahn and Lovász), so adding
+    values never carries from one field into the next.
+    """
+    order = _frontier_order(g, width)
+    if order is None:
+        return None
+    nbrs = _neighbor_tuples(g)
+    shift = g.n // 2 + 3
+    left = [len(nb) for nb in nbrs]  # undecided edges of each vertex
+    front: list[int] = []
+    where: dict[int, int] = {}  # frontier vertex -> its slot in a state
+    states = {(): 1}
+    for v in order:
+        back = [u for u in nbrs[v] if u in where]
+        k = where[v] = len(front)
+        front.append(v)
+        states = {s + (_OPEN,): val for s, val in states.items()}
+        for u in back:
+            i = where[u]
+            left[u] -= 1
+            left[v] -= 1
+            # Degrees u and v must already have for the edge to be left out.
+            need_u, need_v = 2 - left[u], 2 - left[v]
+            step: dict[tuple, int] = {}
+            for s, val in states.items():
+                a, b = s[i], s[k]
+                if _degree(a) >= need_u and _degree(b) >= need_v:
+                    step[s] = step.get(s, 0) + val
+                if a == _DONE or b == _DONE:
+                    continue
+                t = list(s)
+                if a == v:  # u and v end one path: the edge closes a cycle
+                    t[i] = t[k] = _DONE
+                    val <<= shift
+                else:
+                    eu = u if a == _OPEN else a
+                    ev = v if b == _OPEN else b
+                    if a != _OPEN:
+                        t[i] = _DONE
+                    if b != _OPEN:
+                        t[k] = _DONE
+                    t[where[eu]], t[where[ev]] = ev, eu
+                t = tuple(t)
+                step[t] = step.get(t, 0) + val
+            states = step
+        keep = [i for i, x in enumerate(front) if left[x]]
+        if len(keep) < len(front):
+            front = [front[i] for i in keep]
+            where = {x: i for i, x in enumerate(front)}
+            merged: dict[tuple, int] = {}
+            for s, val in states.items():
+                t = tuple(s[i] for i in keep)
+                merged[t] = merged.get(t, 0) + val
+            states = merged
+    total, mask, hist = states.get((), 0), (1 << shift) - 1, Counter()
+    for cycles in range(g.n // 3 + 1):  # a 2-factor's cycles have length >= 3
+        count = total >> cycles * shift & mask
+        if count:
+            hist[cycles] = count
+    return hist
+
+
 def _require_cubic(g: Graph, what: str) -> None:
     for v, m in enumerate(adjacency_masks(g)):
         if m.bit_count() != 3:
@@ -133,9 +277,21 @@ def cycle_count(edges, g: Graph) -> int:
 
 
 def pseudo_2fi(g: Graph) -> TwoFactorReport:
-    """Cycle-count parity report over every 2-factor of a cubic graph."""
+    """Cycle-count parity report over every 2-factor of a cubic graph.
+
+    The histogram comes from the frontier DP when `_frontier_order` keeps
+    the frontier at most FRONTIER_WIDTH vertices wide, and from the
+    matching walk otherwise. With the width bounded the DP holds a bounded
+    number of states, so its work grows linearly in n, while the walk's
+    grows with the number of 2-factors, exponentially in n. Above the bound
+    the DP's state count grows exponentially in the width and nothing caps
+    it, so wider graphs stay on the walk. Both engines count the same
+    2-factors, so which one ran never shows in the report.
+    """
     _require_cubic(g, "the 2-factor parity report")
-    hist = Counter(cycles for _, cycles in _walk(g))
+    hist = _frontier_histogram(g, FRONTIER_WIDTH)
+    if hist is None:
+        hist = Counter(cycles for _, cycles in _walk(g))
     counts = tuple(c for c in sorted(hist) for _ in range(hist[c]))
     parities = {c % 2 for c in hist}
     status = (NO_TWO_FACTOR if not hist else MIXED if len(parities) == 2

@@ -4,11 +4,14 @@ Three independent oracles: the permanent of the biadjacency matrix (sympy)
 counts perfect matchings of bipartite graphs, exhaustive edge-subset
 enumeration recovers matchings and 2-factors of any small cubic graph, and
 a recursive enumerate-then-count reference checks the parity report of
-cubic graphs on up to 30 vertices.
+cubic graphs on up to 30 vertices. The matching walk in turn is the oracle
+for the frontier DP's cycle-count histogram.
 """
 
 import itertools
 import random
+import time
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -24,6 +27,7 @@ from levibridge.graphs import (
     gp,
     heawood,
     k33,
+    lcf,
     pappus,
     petersen,
     prism,
@@ -34,6 +38,8 @@ from levibridge.twofactors import (
     MIXED,
     NO_TWO_FACTOR,
     TwoFactorReport,
+    _frontier_histogram,
+    _walk,
     cycle_count,
     enumerate_perfect_matchings,
     pseudo_2fi,
@@ -346,3 +352,47 @@ class TestParityReport:
         # The set reaches every status and 2-factors of more than 4 cycles.
         assert statuses == {ALL_ODD, ALL_EVEN, MIXED, NO_TWO_FACTOR}
         assert most_cycles > 4
+
+
+def _status(hist) -> str:
+    parities = {c % 2 for c in hist}
+    return (NO_TWO_FACTOR if not hist else MIXED if len(parities) == 2
+            else ALL_ODD if 1 in parities else ALL_EVEN)
+
+
+class TestFrontierHistogram:
+    def test_matches_the_walk(self):
+        # No width bound: the DP runs on every input, whichever engine
+        # pseudo_2fi would pick.
+        rng = random.Random(20261)
+        graphs = [_relabelled(rng, n, _random_cubic_edges(rng, n))
+                  for n in range(12, 31, 2) for _ in range(2)]
+        graphs += [_relabelled(rng, *_bridge_joined(rng, n1, n2))
+                   for n1, n2 in ((4, 4), (4, 6), (6, 8), (8, 10), (10, 12), (12, 14))]
+        graphs += [gp(n, 1) for n in range(6, 21)]
+        graphs += [lcf([m], 2 * m) for m in range(12, 21)]  # Moebius ladders
+        graphs += [heawood(), pappus()]  # AllOdd, which none of the others are
+        k4 = complete(4).edges
+        graphs += [build(8, list(k4) + [(u + 4, v + 4) for u, v in k4]),
+                   build(0, []), _no_two_factor_gadget()]
+        statuses = set()
+        for g in graphs:
+            walked = Counter(cycles for _, cycles in _walk(g))
+            assert _frontier_histogram(g, g.n) == walked, g
+            statuses.add(_status(walked))
+        assert statuses == {ALL_ODD, ALL_EVEN, MIXED, NO_TWO_FACTOR}
+
+    def test_stops_once_the_frontier_passes_the_width(self):
+        g = gp(20, 3)
+        assert _frontier_histogram(g, 5) is None
+        assert sum(_frontier_histogram(g, g.n).values()) == 1584
+
+    def test_prism_with_a_million_two_factors_takes_seconds(self):
+        # Listing the 1,860,500 2-factors with the matching walk takes about
+        # a minute.
+        start = time.perf_counter()
+        report = pseudo_2fi(gp(30, 1))
+        assert time.perf_counter() - start < 10
+        assert report.matching_count == 1860500
+        assert len(report.cycle_counts) == 1860500
+        assert report.status == MIXED
