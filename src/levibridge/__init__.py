@@ -84,7 +84,6 @@ from .incidence import (
 from .survey import (
     SurveyRow,
     aut_structure,
-    klein_coset_partition,
     refutation_check,
     run_survey,
     survey_json,
@@ -95,7 +94,6 @@ from .twofactors import (
     MIXED,
     NO_TWO_FACTOR,
     TwoFactorReport,
-    cycle_count,
     enumerate_perfect_matchings,
     pseudo_2fi,
     two_factors,

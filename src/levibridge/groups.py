@@ -358,8 +358,3 @@ def z3z3() -> PermGroup:
 @functools.cache
 def d4xz2() -> PermGroup:
     return direct_product(dihedral(4), cyclic(2))
-
-
-@functools.cache
-def z9() -> PermGroup:
-    return cyclic(9)

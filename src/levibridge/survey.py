@@ -7,9 +7,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .canon import automorphism_group, isomorphism
+from .canon import _labelling_map, automorphism_group, canonical_form, isomorphism
 from .construction import (
-    MarkedEdges,
     StructureError,
     bridge_census,
     bridge_graph,
@@ -25,13 +24,10 @@ from .groups import (
     cycle_type,
     cycles,
     d4xz2,
-    dihedral,
     edge_action,
     groups_isomorphic,
     inverse,
     is_abelian,
-    is_normal,
-    is_subgroup,
     order_profile,
     orbit,
     perm_order,
@@ -95,65 +91,29 @@ def survey_json(rows: tuple[SurveyRow, ...]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-# -- partition of the 24 wiring permutations ---------------------------------
-
-_KLEIN = ((0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1))
-_COSET_REPS = (
-    (0, 1, 2, 3),  # the Klein group itself
-    (1, 0, 3, 2),
-    (1, 0, 2, 3),
-    (0, 1, 3, 2),
-    (3, 1, 2, 0),
-    (0, 2, 1, 3),
-)
-
-
-def klein_coset_partition() -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The 24 permutations of {0,1,2,3} in six rows of four: the Klein
-    four-group {id, (02), (13), (02)(13)} and its five right cosets.
-
-    Checks that the rows partition the 24 permutations, that row 0 is a
-    Klein four-group, and that rows 0 and 1 together form a dihedral
-    subgroup of order 8.
-    """
-    rows = tuple(
-        tuple(compose(v, rep) for v in _KLEIN) for rep in _COSET_REPS
-    )
-    seen = [p for row in rows for p in row]
-    if len(set(seen)) != 24:
-        raise StructureError("coset rows do not partition the permutations")
-    if not all(
-        p == (0, 1, 2, 3) or perm_order(p) == 2 for p in rows[0]
-    ):
-        raise StructureError("row 0 is not a Klein four-group")
-    top = set(rows[0]) | set(rows[1])
-    if not all(compose(a, b) in top for a in top for b in top):
-        raise StructureError("rows 0-1 are not closed under composition")
-    top_group = PermGroup(4, top)
-    if not groups_isomorphic(top_group, dihedral(4)):
-        raise StructureError("rows 0-1 are not a dihedral group of order 8")
-    return rows
-
-
 # -- automorphism-group structure of the identified graph --------------------
 
 _F_IDX = frozenset(range(1, 5))  # positions of the f-edges in MarkedEdges.all
 _M_IDX = frozenset(range(5, 9))  # positions of the m-edges
 
 
-def _marked_edges_on(g: Graph) -> tuple[MarkedEdges, list[tuple[int, int]]]:
-    """Marked edges transported onto an arbitrary copy of the graph."""
+def _marked_edges_on(g: Graph) -> tuple[list[tuple[int, int]], PermGroup]:
+    """Marked edges transported onto a copy g of the identified graph, and
+    Aut(g), from one canonical search per graph."""
     base = goedgebeur_graph()
-    phi = isomorphism(base, g)
-    if phi is None:
+    marked = marked_edges(base).all
+    if g == base:
+        return list(marked), automorphism_group(g)
+    cf_base, cf = canonical_form(base), canonical_form(g)
+    if cf.certificate != cf_base.certificate:
         raise StructureError("structure analysis needs the identified graph")
-    me = marked_edges(base)
+    phi = _labelling_map(cf_base.order, cf.order, base.edges, set(g.edges))
 
     def move(edge):
         u, v = phi[edge[0]], phi[edge[1]]
         return (u, v) if u < v else (v, u)
 
-    return me, [move(x) for x in me.all]
+    return [move(x) for x in marked], cf.group
 
 
 def aut_structure(g: Graph | None = None) -> dict:
@@ -163,8 +123,7 @@ def aut_structure(g: Graph | None = None) -> dict:
     """
     if g is None:
         g = goedgebeur_graph()
-    _, marked = _marked_edges_on(g)
-    aut = automorphism_group(g)
+    marked, aut = _marked_edges_on(g)
     e_edge = marked[0]
 
     projections = {p: edge_action(p, tuple(marked)) for p in aut.elements}
@@ -228,8 +187,8 @@ def aut_structure(g: Graph | None = None) -> dict:
             for p in aut.elements
         ),
         "k_order": K.order,
-        "k_is_subgroup": is_subgroup(K, aut),
-        "k_normal": is_normal(K, aut),
+        "k_is_subgroup": sd_report["k_is_subgroup"],
+        "k_normal": sd_report["k_normal"],
         "k_profile": order_profile(K),
         "k_abelian": is_abelian(K),
         "k_iso_z3xz3": groups_isomorphic(K, z3z3()),

@@ -4,8 +4,8 @@ In a cubic graph the 2-factors are exactly the complements of the perfect
 matchings, so enumerating matchings enumerates 2-factors. A graph is pseudo
 2-factor isomorphic when every 2-factor has the same parity of cycle count.
 
-The parity report needs only the histogram of cycle counts over all
-2-factors, and two engines compute it. The matching walk lists every
+The parity report is the histogram of cycle counts over all 2-factors,
+and two engines compute it. The matching walk lists every
 matching, so its time grows with their number, exponentially in n. The
 frontier dynamic program (Knuth's SIMPATH, TAOCP 4A 7.1.4; Kawahara et al.,
 "Frontier-based search", IEICE Trans. Fundamentals E100-A, 2017) places the
@@ -35,9 +35,30 @@ FRONTIER_WIDTH = 5
 
 @dataclass(frozen=True)
 class TwoFactorReport:
-    matching_count: int
-    cycle_counts: tuple[int, ...]  # sorted, one entry per 2-factor
-    status: str
+    """Cycle-count histogram over the 2-factors of a cubic graph.
+
+    `histogram` pairs each cycle count with the number of 2-factors that
+    have it, in ascending order of cycles. The count, the parity status and
+    the per-2-factor list are read off it; only the list grows with the
+    number of 2-factors, and it is built only when asked for.
+    """
+
+    histogram: tuple[tuple[int, int], ...]
+
+    @property
+    def matching_count(self) -> int:
+        return sum(count for _, count in self.histogram)
+
+    @property
+    def cycle_counts(self) -> tuple[int, ...]:
+        """Sorted, one entry per 2-factor: as long as matching_count."""
+        return tuple(c for c, count in self.histogram for _ in range(count))
+
+    @property
+    def status(self) -> str:
+        parities = {c % 2 for c, _ in self.histogram}
+        return (NO_TWO_FACTOR if not parities else MIXED if len(parities) == 2
+                else ALL_ODD if 1 in parities else ALL_EVEN)
 
 
 def _walk(g: Graph):
@@ -251,31 +272,6 @@ def two_factors(g: Graph) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def cycle_count(edges, g: Graph) -> int:
-    """Number of cycles in a spanning 2-regular subgraph of g."""
-    deg = [0] * g.n
-    nbr = [[] for _ in range(g.n)]
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-        nbr[u].append(v)
-        nbr[v].append(u)
-    if any(d != 2 for d in deg):
-        raise GraphError("edge set is not a spanning 2-regular subgraph")
-    seen = [False] * g.n
-    count = 0
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        count += 1
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            a, b = nbr[v]
-            v = a if not seen[a] else b
-    return count
-
-
 def pseudo_2fi(g: Graph) -> TwoFactorReport:
     """Cycle-count parity report over every 2-factor of a cubic graph.
 
@@ -292,8 +288,4 @@ def pseudo_2fi(g: Graph) -> TwoFactorReport:
     hist = _frontier_histogram(g, FRONTIER_WIDTH)
     if hist is None:
         hist = Counter(cycles for _, cycles in _walk(g))
-    counts = tuple(c for c in sorted(hist) for _ in range(hist[c]))
-    parities = {c % 2 for c in hist}
-    status = (NO_TWO_FACTOR if not hist else MIXED if len(parities) == 2
-              else ALL_ODD if 1 in parities else ALL_EVEN)
-    return TwoFactorReport(len(counts), counts, status)
+    return TwoFactorReport(tuple(sorted(hist.items())))

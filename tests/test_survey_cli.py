@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from levibridge import canon, survey
 from levibridge.canon import canonical_form
 from levibridge.construction import bridge_census, bridge_graph, goedgebeur_graph
 from levibridge.groups import PermGroup, dihedral, groups_isomorphic
@@ -19,7 +20,6 @@ from levibridge.graphs import build, graph6_encode, heawood, k33, petersen
 from levibridge.survey import (
     StructureError,
     aut_structure,
-    klein_coset_partition,
     refutation_check,
     run_survey,
     survey_json,
@@ -65,53 +65,16 @@ class TestSurvey:
         payload = json.loads(survey_json(rows))
         assert payload["rows"][0]["p2fi_status"] == ALL_ODD
 
-
-class TestKleinCosetPartition:
-    def test_six_rows_of_four_partition_s4(self):
-        rows = klein_coset_partition()
-        assert len(rows) == 6
-        flat = [p for row in rows for p in row]
-        assert len(set(flat)) == 24
-
-    def test_first_row_is_a_klein_four_group(self):
-        # The partition is anchored at the Klein group generated by the
-        # two transpositions (0 2) and (1 3), not the normal Klein
-        # subgroup of S4.
-        rows = klein_coset_partition()
-        assert set(rows[0]) == {
-            (0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)
-        }
-        four = PermGroup(4, rows[0])
-        assert four.order == 4
-        from levibridge.groups import order_profile
-
-        assert order_profile(four) == {1: 1, 2: 3}
-
-    def test_first_two_rows_form_a_dihedral_group(self):
-        rows = klein_coset_partition()
-        eight = PermGroup(4, rows[0] + rows[1])
-        assert eight.order == 8
+    def test_diagonal_alphas_form_a_dihedral_group(self):
+        # The alphas of the eight diagonal joins in the 144-automorphism
+        # class form a dihedral group of order 8 over the Klein group
+        # generated by (0 2) and (1 3), not the normal Klein subgroup of S4.
+        class_144 = next(c for c in bridge_census() if c.aut_order == 144)
+        alphas = {s.alpha for s in class_144.specs if s.alpha == s.beta}
+        eight = PermGroup(4, alphas)
+        assert len(alphas) == 8 and eight.elements == alphas
+        assert {(0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)} <= alphas
         assert groups_isomorphic(eight, dihedral(4))
-
-    def test_first_two_rows_are_the_diagonal_alphas(self):
-        # The eight alpha values whose diagonal join lands in the
-        # 144-automorphism class are exactly rows one and two.
-        rows = klein_coset_partition()
-        census = bridge_census()
-        class_144 = next(c for c in census if c.aut_order == 144)
-        diagonal_alphas = {
-            s.alpha for s in class_144.specs if s.alpha == s.beta
-        }
-        assert diagonal_alphas == set(rows[0] + rows[1])
-
-    def test_rows_are_genuine_cosets(self):
-        from levibridge.groups import compose
-
-        rows = klein_coset_partition()
-        klein = rows[0]
-        for row in rows:
-            rep = row[0]
-            assert set(row) == {compose(v, rep) for v in klein}
 
 
 class TestAutStructure:
@@ -139,6 +102,26 @@ class TestAutStructure:
         relabeled = build(g.n, [(29 - u, 29 - v) for u, v in g.edges])
         report = aut_structure(relabeled)
         assert report["all_ok"]
+
+    def test_one_canonical_search_per_graph(self, monkeypatch):
+        # The census searched the identified graph already, but keeps only
+        # its certificate and |Aut|: the battery searches each graph once.
+        base = goedgebeur_graph()
+        relabeled = build(base.n, [(29 - u, 29 - v) for u, v in base.edges])
+        searched = []
+        search = canon.canonical_form
+
+        def counted(g, cells=None):
+            searched.append(g)
+            return search(g, cells)
+
+        monkeypatch.setattr(canon, "canonical_form", counted)
+        monkeypatch.setattr(survey, "canonical_form", counted, raising=False)
+        aut_structure()
+        assert searched == [base]
+        searched.clear()
+        aut_structure(relabeled)
+        assert len(searched) == 2 and base in searched and relabeled in searched
 
     def test_rejects_foreign_graph(self):
         with pytest.raises(StructureError):

@@ -9,7 +9,10 @@ for the frontier DP's cycle-count histogram.
 """
 
 import itertools
+import json
 import random
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -40,7 +43,6 @@ from levibridge.twofactors import (
     TwoFactorReport,
     _frontier_histogram,
     _walk,
-    cycle_count,
     enumerate_perfect_matchings,
     pseudo_2fi,
     two_factors,
@@ -134,8 +136,12 @@ def _reference_cycle_count(edges, n: int) -> int:
     return count
 
 
-def _reference_report(g) -> TwoFactorReport:
-    """Build every 2-factor as the complement of a matching, then count."""
+def _reference_report(g) -> tuple[TwoFactorReport, tuple[int, ...], str]:
+    """Build every 2-factor as the complement of a matching, then count.
+
+    Returns the report of the histogram, the sorted cycle counts one per
+    2-factor, and the status read off those counts one by one.
+    """
     counts = []
     for matching in _recursive_matchings(g):
         gone = set(matching)
@@ -149,7 +155,7 @@ def _reference_report(g) -> TwoFactorReport:
         status = ALL_EVEN
     else:
         status = MIXED
-    return TwoFactorReport(len(counts), counts, status)
+    return TwoFactorReport(tuple(sorted(Counter(counts).items()))), counts, status
 
 
 def _relabelled(rng, n, edges):
@@ -264,20 +270,22 @@ class TestTwoFactors:
 
 
 class TestCycleCount:
+    """The reference cycle counter that the parity oracles rest on."""
+
     def test_single_cycle(self):
         g = cycle(6)
-        assert cycle_count(g.edges, g) == 1
+        assert _reference_cycle_count(g.edges, g.n) == 1
 
     def test_two_triangles(self):
         g = build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert cycle_count(g.edges, g) == 2
+        assert _reference_cycle_count(g.edges, g.n) == 2
 
     def test_rejects_non_spanning_2_regular(self):
         g = cycle(6)
-        with pytest.raises(GraphError):
-            cycle_count(g.edges[:5], g)
-        with pytest.raises(GraphError):
-            cycle_count(g.edges + ((0, 2),), build(6, g.edges + ((0, 2),)))
+        with pytest.raises(AssertionError):
+            _reference_cycle_count(g.edges[:5], g.n)
+        with pytest.raises(AssertionError):
+            _reference_cycle_count(g.edges + ((0, 2),), g.n)
 
 
 class TestParityReport:
@@ -321,7 +329,7 @@ class TestParityReport:
         for name, g in CUBIC_CORPUS.items():
             factors = _subset_two_factors(g)
             parities = {
-                cycle_count(tuple(f), g) % 2 for f in factors
+                _reference_cycle_count(f, g.n) % 2 for f in factors
             }
             report = pseudo_2fi(g)
             if not factors:
@@ -344,11 +352,15 @@ class TestParityReport:
         graphs += [_no_two_factor_gadget(), build(0, [])]
         statuses, most_cycles = set(), 0
         for g in graphs:
-            expected = _reference_report(g)
-            assert pseudo_2fi(g) == expected, g
+            expected, counts, status = _reference_report(g)
+            report = pseudo_2fi(g)
+            assert report == expected, g
+            assert report.cycle_counts == counts, g
+            assert report.matching_count == len(counts), g
+            assert report.status == status, g
             assert enumerate_perfect_matchings(g) == _recursive_matchings(g), g
-            statuses.add(expected.status)
-            most_cycles = max(most_cycles, *expected.cycle_counts, 0)
+            statuses.add(status)
+            most_cycles = max(most_cycles, *counts, 0)
         # The set reaches every status and 2-factors of more than 4 cycles.
         assert statuses == {ALL_ODD, ALL_EVEN, MIXED, NO_TWO_FACTOR}
         assert most_cycles > 4
@@ -396,3 +408,23 @@ class TestFrontierHistogram:
         assert report.matching_count == 1860500
         assert len(report.cycle_counts) == 1860500
         assert report.status == MIXED
+
+    def test_prism_with_228_million_two_factors_fits_in_a_gigabyte(self):
+        # The report keeps the histogram, not one entry per 2-factor, which
+        # here would take about 1.8 GB.
+        code = (
+            "import json, resource, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from levibridge.graphs import gp\n"
+            "from levibridge.twofactors import pseudo_2fi\n"
+            "start = time.perf_counter()\n"
+            "report = pseudo_2fi(gp(40, 1))\n"
+            "print(json.dumps([report.matching_count, report.status,\n"
+            "                  len(report.histogram), time.perf_counter() - start]))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        count, status, buckets, seconds = json.loads(out.stdout)
+        assert (count, status, buckets) == (228826129, MIXED, 20)
+        assert seconds < 10
