@@ -113,10 +113,10 @@ def _cmd_props(args) -> int:
     for g in _read_graphs(args.file):
         cubic = is_cubic(g)
         ess4 = cyc = None
-        if cubic and g.n <= 40 and len(components(adjacency_masks(g))) == 1:
-            ok, _ = is_essentially_4_edge_connected(g)
-            ess4 = ok
-            cyc = cyclic_edge_connectivity(g)
+        if cubic and len(components(adjacency_masks(g))) == 1:
+            ess4, _ = is_essentially_4_edge_connected(g)
+            if g.n <= 40:
+                cyc = cyclic_edge_connectivity(g)
         print(json.dumps({
             "vertices": g.n,
             "edges": len(g.edges),

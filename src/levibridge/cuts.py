@@ -7,12 +7,14 @@ cut whose removal leaves two components that each contain a cycle; it is
 reported as None when no such cut exists (the graph has no pair of
 vertex-disjoint cycles). Both questions are answered by maximum flows
 between contracted vertex sets: edges for the first, chordless cycles for
-the second.
+the second. The cyclic search needs only short chordless cycles, and only
+the flows from a few *source* cycles: a cut that crosses a cycle holds at
+least 2 of its edges, so once p pairwise edge-disjoint sources have been
+processed, any cut still unseen has at least 2p edges.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graphs import (Graph, GraphError, _neighbor_tuples, adjacency_masks, components,
@@ -164,6 +166,18 @@ def cyclic_edge_connectivity(g: Graph) -> int | None:
     disjoint pair exists exactly when a cyclic cut exists: deleting one
     cycle's boundary leaves the other cycle intact, and moving whole spare
     components across only shrinks the boundary.
+
+    The pairs are taken source by source, shortest cycle first, and each
+    source is paired with every vertex-disjoint cycle that has not been a
+    source yet, so once a source C is done every pair containing C has had
+    its flow. Then either
+    some side of a minimum cut contains C, and the flow to the other side's
+    short chordless cycle has already found the minimum, or every minimum
+    cut crosses C and so holds at least 2 of its edges. The next source is
+    the shortest cycle edge-disjoint from all packed sources (the shortest
+    remaining one if none is), and a packed source counts towards p. A cut
+    crossing p pairwise edge-disjoint cycles has at least 2p edges, so the
+    search stops as soon as 2p reaches the best flow found.
     """
     if not is_cubic(g):
         raise GraphError("cyclic edge connectivity needs a cubic graph")
@@ -171,18 +185,22 @@ def cyclic_edge_connectivity(g: Graph) -> int | None:
         raise GraphError("cyclic edge connectivity is implemented for at most 40 vertices")
     if len(components(adjacency_masks(g))) != 1:
         raise GraphError("cyclic edge connectivity needs a connected graph")
-    cycles = [(c, frozenset(c)) for c in _chordless_cycles(g, _CHORDLESS_CAP)]
-    pairs = [
-        (a_set, b_set, len(a) + len(b))
-        for (a, a_set), (b, b_set) in itertools.combinations(cycles, 2)
-        if not (a_set & b_set)
-    ]
-    if not pairs:
-        return None
-    pairs.sort(key=lambda p: p[2])
+    cycles = sorted(_chordless_cycles(g, _CHORDLESS_CAP), key=len)
+    vertices = [frozenset(c) for c in cycles]
+    edges = [frozenset(frozenset(e) for e in zip(c, c[1:] + c[:1])) for c in cycles]
+    unprocessed = list(range(len(cycles)))
+    packed: set[frozenset[int]] = set()  # edges of the pairwise edge-disjoint sources
+    p = 0
     best: int | None = None
-    for side_s, side_t, _ in pairs:
-        value, _ = _min_cut_between(g, side_s, side_t, best)
-        if best is None or value < best:
-            best = value
+    while unprocessed and (best is None or 2 * p < best):
+        source = next((i for i in unprocessed if not edges[i] & packed), unprocessed[0])
+        if not edges[source] & packed:
+            packed |= edges[source]
+            p += 1
+        unprocessed.remove(source)
+        for target in unprocessed:
+            if not vertices[source] & vertices[target]:
+                value, _ = _min_cut_between(g, vertices[source], vertices[target], best)
+                if best is None or value < best:
+                    best = value
     return best

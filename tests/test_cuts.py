@@ -14,7 +14,11 @@ import random
 import networkx as nx
 import pytest
 
+from levibridge import cuts
+from levibridge.construction import bridge_census, bridge_graph, goedgebeur_graph
 from levibridge.cuts import (
+    _CHORDLESS_CAP,
+    _chordless_cycles,
     _min_cut_between,
     cyclic_edge_connectivity,
     is_essentially_4_edge_connected,
@@ -53,6 +57,26 @@ def _brute_force_cyclic_connectivity(g, max_k: int):
             if cyclic_parts >= 2:
                 return k
     return None
+
+
+def _all_pairs_cyclic_connectivity(g):
+    """Reference: one flow for every pair of vertex-disjoint chordless cycles,
+    shortest pairs first, with no source packing."""
+    cycles = [(c, frozenset(c)) for c in _chordless_cycles(g, _CHORDLESS_CAP)]
+    pairs = [
+        (a_set, b_set, len(a) + len(b))
+        for (a, a_set), (b, b_set) in itertools.combinations(cycles, 2)
+        if not (a_set & b_set)
+    ]
+    if not pairs:
+        return None
+    pairs.sort(key=lambda p: p[2])
+    best: int | None = None
+    for side_s, side_t, _ in pairs:
+        value, _ = _min_cut_between(g, side_s, side_t, best)
+        if best is None or value < best:
+            best = value
+    return best
 
 
 def _brute_force_has_nontrivial_small_cut(g) -> bool:
@@ -97,21 +121,48 @@ def _joined(rng, cut_size, n1, n2):
 
 
 def _oracle_graphs():
-    """Seeded, randomly relabelled connected cubic graphs on at most 14 vertices."""
+    """Seeded, randomly relabelled connected cubic graphs on at most 14 vertices,
+    each with the size of the cut it was `_joined` across (None if not joined)."""
     rng = random.Random(20220)
-    specs = [(n, _random_cubic(rng, n)) for n in (6, 8, 10, 12, 14) for _ in range(4)]
-    specs += [(g.n, list(g.edges)) for g in (complete(4), k33(), petersen(), gp(6, 2),
-                                             gp(7, 2), heawood())]
+    specs = [(None, n, _random_cubic(rng, n)) for n in (6, 8, 10, 12, 14) for _ in range(4)]
+    specs += [(None, g.n, list(g.edges)) for g in (complete(4), k33(), petersen(), gp(6, 2),
+                                                   gp(7, 2), heawood())]
     for cut_size, sizes in ((1, [(4, 4), (4, 6), (6, 6), (4, 8)]),
                             (2, [(4, 4), (4, 6), (6, 6), (4, 8), (6, 8), (4, 10)]),
                             (3, [(4, 4), (4, 6), (6, 6), (6, 8), (8, 8), (4, 8)])):
         for n1, n2 in sizes:
             for _ in range(2):
-                specs.append(_joined(rng, cut_size, n1, n2))
-    for n, edges in specs:
+                specs.append((cut_size, *_joined(rng, cut_size, n1, n2)))
+    for cut_size, n, edges in specs:
         perm = list(range(n))
         rng.shuffle(perm)
-        yield build(n, [(perm[u], perm[v]) for u, v in edges])
+        yield cut_size, build(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _crossed_heawood_join():
+    """Two Heawood graphs, each with the three edges of a path t-u-v-w
+    subdivided, joined by three edges between matching subdivision vertices.
+
+    The graph has girth 6 and cyclic edge connectivity 3. The two 6-cycles
+    through the edge between the middle subdivision vertices, labelled 0 and
+    1, come first in the sorted cycle list. They share that edge, and each
+    crosses every minimum cyclic cut, so the flows from them alone find 4.
+    """
+    h = heawood()
+    u, v = h.edges[0]
+    path = [frozenset((u, v)), frozenset((min(set(h.neighbors(u)) - {v}), u)),
+            frozenset((v, min(set(h.neighbors(v)) - {u})))]
+    edges = [(14 + i, 31 + i) for i in range(3)]
+    for off in (0, 17):
+        for a, b in h.edges:
+            if frozenset((a, b)) in path:
+                mid = off + 14 + path.index(frozenset((a, b)))
+                edges += [(a + off, mid), (mid, b + off)]
+            else:
+                edges.append((a + off, b + off))
+    order = [14, 31] + [x for x in range(34) if x not in (14, 31)]
+    label = {x: i for i, x in enumerate(order)}
+    return build(34, [(label[a], label[b]) for a, b in edges])
 
 
 class TestCyclicEdgeConnectivity:
@@ -128,6 +179,47 @@ class TestCyclicEdgeConnectivity:
             mine = cyclic_edge_connectivity(g)
             assert mine == _brute_force_cyclic_connectivity(g, mine)
             assert _brute_force_cyclic_connectivity(g, mine - 1) is None
+
+    def test_joined_graphs_match_brute_force(self):
+        # Cuts of at most 3 edges, where the packing stops after few sources.
+        values = set()
+        for cut_size, g in _oracle_graphs():
+            if cut_size is None:
+                continue
+            mine = cyclic_edge_connectivity(g)
+            assert mine <= cut_size
+            assert _brute_force_cyclic_connectivity(g, mine) == mine
+            values.add(mine)
+        assert values == {1, 2, 3}
+
+    def test_matches_all_pairs_loop(self):
+        rng = random.Random(20224)
+        graphs = [build(n, _random_cubic(rng, n)) for n in range(8, 41, 2) for _ in range(12)]
+        graphs += [g for _, g in _oracle_graphs()]
+        graphs += [bridge_graph(c.representative) for c in bridge_census()]
+        graphs += [gp(n, k) for n in range(3, 21) for k in range(1, (n + 1) // 2)]
+        # Here the first two sources share an edge and cross every minimum
+        # cut, which no graph above arranges.
+        graphs.append(_crossed_heawood_join())
+        values = set()
+        for g in graphs:
+            value = cyclic_edge_connectivity(g)
+            assert value == _all_pairs_cyclic_connectivity(g)
+            values.add(value)
+        assert {None, 1, 2, 3, 4, 5, 6} <= values
+
+    def test_goedgebeur_graph_takes_at_most_48_flows(self, monkeypatch):
+        # The graph has 288 vertex-disjoint pairs of chordless cycles; the
+        # search stops after 3 packed sources.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _min_cut_between(*args)
+
+        monkeypatch.setattr(cuts, "_min_cut_between", counted)
+        assert cyclic_edge_connectivity(goedgebeur_graph()) == 6
+        assert 0 < len(calls) <= 48
 
     def test_no_two_disjoint_cycles(self):
         # K4 and K3,3 are too small to hold two vertex-disjoint cycles.
@@ -176,7 +268,7 @@ class TestEssentially4EdgeConnected:
 
     def test_matches_brute_force_with_valid_certificates(self):
         total = failures = triangle_at_0 = 0
-        for g in _oracle_graphs():
+        for _, g in _oracle_graphs():
             total += 1
             ok, cert = is_essentially_4_edge_connected(g)
             assert ok == (not _brute_force_has_nontrivial_small_cut(g))

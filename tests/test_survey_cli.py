@@ -207,6 +207,16 @@ class TestCli:
         assert report["essentially_4_edge_connected"]
         assert report["aut_order"] == 144
 
+    def test_props_reports_ess4_above_the_cyclic_cap(self):
+        # gp(21, 2) has 42 vertices: past cyclic_edge_connectivity's 40-vertex
+        # cap, but essential 4-edge-connectivity has no cap.
+        out = _cli("props", stdin=_cli("gen", "gp", "21", "2").stdout)
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert report["vertices"] == 42 and report["cubic"]
+        assert report["essentially_4_edge_connected"] is True
+        assert report["cyclic_edge_connectivity"] is None
+
     @pytest.mark.parametrize("g6", ["G~?GW[", "?"])  # two disjoint K4s; no vertices
     def test_props_disconnected_cubic_has_null_cuts(self, g6):
         out = _cli("props", stdin=g6 + "\n")
