@@ -9,7 +9,9 @@ against networkx's Edmonds-Karp on the network with each side contracted.
 """
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -26,6 +28,7 @@ from levibridge.cuts import (
 from levibridge.graphs import (
     GraphError,
     build,
+    graph6_decode,
     complete,
     cycle,
     gp,
@@ -220,6 +223,22 @@ class TestCyclicEdgeConnectivity:
         monkeypatch.setattr(cuts, "_min_cut_between", counted)
         assert cyclic_edge_connectivity(goedgebeur_graph()) == 6
         assert 0 < len(calls) <= 48
+
+    def test_certify_pool_takes_at_most_11000_flows(self, monkeypatch):
+        # One flow per vertex-disjoint pair of chordless cycles is 73,422 here.
+        pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "data"
+                           / "certify_pool.json").read_text())
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _min_cut_between(*args)
+
+        monkeypatch.setattr(cuts, "_min_cut_between", counted)
+        for item in pool:
+            g = graph6_decode(item["g6"])
+            assert cyclic_edge_connectivity(g) == item["expect"]["cyclic"], item["name"]
+        assert len(pool) == 157 and len(calls) <= 11000
 
     def test_no_two_disjoint_cycles(self):
         # K4 and K3,3 are too small to hold two vertex-disjoint cycles.
