@@ -170,14 +170,14 @@ def cyclic_edge_connectivity(g: Graph) -> int | None:
     The pairs are taken source by source, shortest cycle first, and each
     source is paired with every vertex-disjoint cycle that has not been a
     source yet, so once a source C is done every pair containing C has had
-    its flow. Then either
-    some side of a minimum cut contains C, and the flow to the other side's
-    short chordless cycle has already found the minimum, or every minimum
-    cut crosses C and so holds at least 2 of its edges. The next source is
-    the shortest cycle edge-disjoint from all packed sources (the shortest
-    remaining one if none is), and a packed source counts towards p. A cut
-    crossing p pairwise edge-disjoint cycles has at least 2p edges, so the
-    search stops as soon as 2p reaches the best flow found.
+    its flow. Then either some side of a minimum cut contains C, and the
+    flow to the other side's short chordless cycle has already found the
+    minimum, or every minimum cut crosses C and so holds at least 2 of its
+    edges. The next source is the shortest cycle edge-disjoint from all
+    packed sources (the shortest remaining one if none is), and a packed
+    source counts towards p. A cut crossing p pairwise edge-disjoint cycles
+    has at least 2p edges, so the search stops as soon as 2p reaches the
+    best flow found.
     """
     if not is_cubic(g):
         raise GraphError("cyclic edge connectivity needs a cubic graph")

@@ -168,6 +168,19 @@ def _crossed_heawood_join():
     return build(34, [(label[a], label[b]) for a, b in edges])
 
 
+@pytest.fixture
+def flows(monkeypatch):
+    """Records the arguments of every `_min_cut_between` call the test makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _min_cut_between(*args)
+
+    monkeypatch.setattr(cuts, "_min_cut_between", counted)
+    return calls
+
+
 class TestCyclicEdgeConnectivity:
     def test_petersen_matches_brute_force(self):
         assert cyclic_edge_connectivity(petersen()) == 5
@@ -211,34 +224,20 @@ class TestCyclicEdgeConnectivity:
             values.add(value)
         assert {None, 1, 2, 3, 4, 5, 6} <= values
 
-    def test_goedgebeur_graph_takes_at_most_48_flows(self, monkeypatch):
+    def test_goedgebeur_graph_takes_at_most_48_flows(self, flows):
         # The graph has 288 vertex-disjoint pairs of chordless cycles; the
         # search stops after 3 packed sources.
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _min_cut_between(*args)
-
-        monkeypatch.setattr(cuts, "_min_cut_between", counted)
         assert cyclic_edge_connectivity(goedgebeur_graph()) == 6
-        assert 0 < len(calls) <= 48
+        assert 0 < len(flows) <= 48
 
-    def test_certify_pool_takes_at_most_11000_flows(self, monkeypatch):
+    def test_certify_pool_takes_at_most_11000_flows(self, flows):
         # One flow per vertex-disjoint pair of chordless cycles is 73,422 here.
         pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "data"
                            / "certify_pool.json").read_text())
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _min_cut_between(*args)
-
-        monkeypatch.setattr(cuts, "_min_cut_between", counted)
         for item in pool:
             g = graph6_decode(item["g6"])
             assert cyclic_edge_connectivity(g) == item["expect"]["cyclic"], item["name"]
-        assert len(pool) == 157 and len(calls) <= 11000
+        assert len(pool) == 157 and len(flows) <= 11000
 
     def test_no_two_disjoint_cycles(self):
         # K4 and K3,3 are too small to hold two vertex-disjoint cycles.
