@@ -2,7 +2,6 @@
 
 from .canon import (
     CanonicalForm,
-    are_isomorphic,
     automorphism_group,
     canonical_form,
     isomorphism,
@@ -94,9 +93,7 @@ from .twofactors import (
     MIXED,
     NO_TWO_FACTOR,
     TwoFactorReport,
-    enumerate_perfect_matchings,
     pseudo_2fi,
-    two_factors,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -242,10 +242,6 @@ def isomorphism(g: Graph, h: Graph, cells_g=None, cells_h=None):
     return _labelling_map(cf_g.order, cf_h.order, g.edges, set(h.edges))
 
 
-def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return isomorphism(g, h) is not None
-
-
 def automorphism_group(g: Graph, cells=None) -> PermGroup:
     """Automorphisms harvested from the canonical search, as a PermGroup."""
     return canonical_form(g, cells).group

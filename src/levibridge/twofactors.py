@@ -1,25 +1,21 @@
-"""Perfect matchings, 2-factors and the cycle-count parity of cubic graphs.
+"""2-factors and the cycle-count parity of cubic graphs.
 
 In a cubic graph the 2-factors are exactly the complements of the perfect
-matchings, so enumerating matchings enumerates 2-factors. A graph is pseudo
-2-factor isomorphic when every 2-factor has the same parity of cycle count.
+matchings, so counting one counts the other. A graph is pseudo 2-factor
+isomorphic when every 2-factor has the same parity of cycle count.
 
-The parity report is the histogram of cycle counts over all 2-factors,
-and two engines compute it. The matching walk lists every
-matching, so its time grows with their number, exponentially in n. The
-frontier dynamic program (Knuth's SIMPATH, TAOCP 4A 7.1.4; Kawahara et al.,
-"Frontier-based search", IEICE Trans. Fundamentals E100-A, 2017) places the
-vertices one at a time and keeps, per boundary configuration, the
-polynomial of closed cycles; its cost grows with the number of
-configurations, exponentially in the frontier width. Both count the same
-2-factors by their cycles, so the choice between them never changes a
-report; `pseudo_2fi` takes the DP when the frontier width is at most
-FRONTIER_WIDTH and the walk otherwise.
+The parity report is the histogram of cycle counts over all 2-factors. One
+engine computes it without listing them: a frontier dynamic program
+(Knuth's SIMPATH, TAOCP 4A 7.1.4; Kawahara et al., "Frontier-based
+search", IEICE Trans. Fundamentals E100-A, 2017) places the vertices one
+at a time in a greedy order and keeps, per boundary configuration, the
+polynomial of closed cycles. Its cost grows with the number of
+configurations, exponentially in the widest frontier of that order and
+linearly in n, not with the number of 2-factors.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .graphs import Graph, GraphError, _neighbor_tuples, adjacency_masks, bfs_layers
@@ -28,9 +24,6 @@ ALL_ODD = "AllOdd"
 ALL_EVEN = "AllEven"
 MIXED = "Mixed"
 NO_TWO_FACTOR = "NoTwoFactor"
-
-# Widest frontier on which pseudo_2fi runs the DP rather than the walk.
-FRONTIER_WIDTH = 5
 
 
 @dataclass(frozen=True)
@@ -61,88 +54,22 @@ class TwoFactorReport:
                 else ALL_ODD if 1 in parities else ALL_EVEN)
 
 
-def _walk(g: Graph):
-    """Depth-first walk over the perfect matchings of g, without recursion.
-
-    Matches the lowest uncovered vertex v to each uncovered neighbour u in
-    ascending order, so matchings come in lexicographic order. Each leaf
-    yields the pairs (one list, overwritten) and, for cubic g, the number
-    of cycles of the 2-factor left over. Matching v to u adds its edges at
-    v and u to uncovered vertices; `end[x]` is the far end of the path
-    ending at x, and joining a path's two ends closes a cycle. A branch
-    dies once an uncovered vertex has no uncovered neighbour: for cubic g
-    that keeps every vertex on two such edges at most, as the undo log needs.
-    """
-    n = g.n
-    if n % 2:
-        return
-    adj = adjacency_masks(g)
-    arcs = [tuple((a, b) for b in nb) for a, nb in enumerate(_neighbor_tuples(g))]
-    full = (1 << n) - 1
-    end = list(range(n))
-    log: list[int] = []  # flattened (vertex, its previous end) pairs
-    pairs = [(0, 0)] * (n // 2)
-    if not n:
-        yield pairs, 0
-        return
-    frames = [(0, adj[0], 0, 0, 0)]  # (v, untried partners, covered, cycles, log mark)
-    while frames:
-        v, untried, covered, cycles, mark = frames[-1]
-        while len(log) > mark:
-            end[log.pop()] = log.pop()
-        if not untried:
-            frames.pop()
-            continue
-        low = untried & -untried
-        frames[-1] = (v, untried ^ low, covered, cycles, mark)
-        u = low.bit_length() - 1
-        covered |= 1 << v | low
-        uncovered = ~covered
-        for a, b in arcs[v] + arcs[u]:
-            if uncovered >> b & 1:
-                if not adj[b] & uncovered:
-                    break  # b can no longer be matched: the branch dies
-                ea, eb = end[a], end[b]
-                if ea == b:
-                    cycles += 1
-                else:
-                    log += (ea, a, eb, b)
-                    end[ea], end[eb] = eb, ea
-        else:
-            pairs[len(frames) - 1] = (v, u)
-            if covered == full:
-                yield pairs, cycles
-            else:
-                v = (uncovered & (covered + 1)).bit_length() - 1
-                frames.append((v, adj[v] & uncovered, covered, cycles, len(log)))
-
-
-def enumerate_perfect_matchings(g: Graph) -> list[tuple[tuple[int, int], ...]]:
-    """All perfect matchings, branching on the lowest unmatched vertex.
-
-    The branch order (ascending neighbor index at the lowest open vertex)
-    makes the output order deterministic and lexicographic.
-    """
-    return [tuple(pairs) for pairs, _ in _walk(g)]
-
-
-def _frontier_order(g: Graph, width: int) -> list[int] | None:
-    """A vertex order with a small frontier, or None once it passes width.
+def _frontier_order(g: Graph) -> list[int]:
+    """A vertex order with a small frontier.
 
     The frontier after a step is the set of placed vertices that still have
     an unplaced neighbour. Each component starts at a pseudo-peripheral
     vertex, the end of a double breadth-first sweep from its lowest vertex.
     Every later step places the unplaced neighbour of a placed vertex that
     leaves the smallest frontier, then the one with the fewest unplaced
-    neighbours, then the lowest. Building stops as soon as the frontier
-    passes width, so a wide graph pays for only a few steps.
+    neighbours, then the lowest.
     """
     adj = adjacency_masks(g)
     nbrs = _neighbor_tuples(g)
     left = [len(nb) for nb in nbrs]  # unplaced neighbours of each vertex
     unplaced = (1 << g.n) - 1
     order: list[int] = []
-    reach = size = 0  # unplaced vertices next to placed ones; frontier size
+    reach = 0  # unplaced vertices next to placed ones
     while unplaced:
         if not reach:
             root = (unplaced & -unplaced).bit_length() - 1
@@ -157,10 +84,7 @@ def _frontier_order(g: Graph, width: int) -> list[int] | None:
             c = low.bit_length() - 1
             grow = (left[c] > 0) - sum(left[u] == 1 for u in nbrs[c] if not unplaced >> u & 1)
             keys.append((grow, left[c], c))
-        grow, _, v = min(keys)
-        size += grow
-        if size > width:
-            return None
+        v = min(keys)[2]
         order.append(v)
         unplaced ^= 1 << v
         reach = (reach | adj[v]) & unplaced
@@ -176,17 +100,19 @@ def _degree(code: int) -> int:
     return 1 if code >= 0 else 0 if code == _OPEN else 2
 
 
-def _frontier_histogram(g: Graph, width: int) -> Counter | None:
+def _frontier_histogram(g: Graph) -> tuple[tuple[int, int], ...]:
     """Cycle-count histogram of the 2-factors of cubic g, by a frontier DP.
 
-    Returns None when `_frontier_order` passes width. Placing a vertex
-    decides its edges to placed neighbours one at a time. A state gives each
-    frontier vertex a code: _OPEN (degree 0), _DONE (degree 2), or for a
-    path end the frontier vertex at the path's other end. Taking an edge
-    between the two ends of one path closes a cycle. An edge is left out
-    only while both its ends can still reach degree 2, so every vertex
-    leaves the frontier with degree 2, and the left-out edges of a partial
-    2-factor form a matching whose vertex set the state fixes.
+    Returns the (cycles, 2-factors) pairs in ascending order of cycles, as
+    TwoFactorReport stores them. The vertices are placed in
+    `_frontier_order`, and placing a vertex decides its edges to placed
+    neighbours one at a time. A state gives each frontier vertex a code:
+    _OPEN (degree 0), _DONE (degree 2), or for a path end the frontier
+    vertex at the path's other end. Taking an edge between the two ends of
+    one path closes a cycle. An edge is left out only while both its ends
+    can still reach degree 2, so every vertex leaves the frontier with
+    degree 2, and the left-out edges of a partial 2-factor form a matching
+    whose vertex set the state fixes.
 
     A state's value is the polynomial sum_c N_c x^c, where N_c counts the
     partial 2-factors that reach the state with c closed cycles, packed in
@@ -196,16 +122,13 @@ def _frontier_histogram(g: Graph, width: int) -> Counter | None:
     (Bregman's bound, extended to all graphs by Kahn and Lovász), so adding
     values never carries from one field into the next.
     """
-    order = _frontier_order(g, width)
-    if order is None:
-        return None
     nbrs = _neighbor_tuples(g)
     shift = g.n // 2 + 3
     left = [len(nb) for nb in nbrs]  # undecided edges of each vertex
     front: list[int] = []
     where: dict[int, int] = {}  # frontier vertex -> its slot in a state
     states = {(): 1}
-    for v in order:
+    for v in _frontier_order(g):
         back = [u for u in nbrs[v] if u in where]
         k = where[v] = len(front)
         front.append(v)
@@ -247,45 +170,24 @@ def _frontier_histogram(g: Graph, width: int) -> Counter | None:
                 t = tuple(s[i] for i in keep)
                 merged[t] = merged.get(t, 0) + val
             states = merged
-    total, mask, hist = states.get((), 0), (1 << shift) - 1, Counter()
-    for cycles in range(g.n // 3 + 1):  # a 2-factor's cycles have length >= 3
-        count = total >> cycles * shift & mask
-        if count:
-            hist[cycles] = count
-    return hist
-
-
-def _require_cubic(g: Graph, what: str) -> None:
-    for v, m in enumerate(adjacency_masks(g)):
-        if m.bit_count() != 3:
-            raise GraphError(
-                f"{what} needs a cubic graph; vertex {v} has degree {m.bit_count()}")
-
-
-def two_factors(g: Graph) -> list[tuple[tuple[int, int], ...]]:
-    """Complements of the perfect matchings; requires a cubic graph."""
-    _require_cubic(g, "two_factors")
-    out = []
-    for matching in enumerate_perfect_matchings(g):
-        gone = set(matching)
-        out.append(tuple(e for e in g.edges if e not in gone))
-    return out
+    total, mask = states.get((), 0), (1 << shift) - 1
+    # A 2-factor's cycles have length >= 3, so it has at most n/3 of them.
+    counts = ((c, total >> c * shift & mask) for c in range(g.n // 3 + 1))
+    return tuple((c, count) for c, count in counts if count)
 
 
 def pseudo_2fi(g: Graph) -> TwoFactorReport:
     """Cycle-count parity report over every 2-factor of a cubic graph.
 
-    The histogram comes from the frontier DP when `_frontier_order` keeps
-    the frontier at most FRONTIER_WIDTH vertices wide, and from the
-    matching walk otherwise. With the width bounded the DP holds a bounded
-    number of states, so its work grows linearly in n, while the walk's
-    grows with the number of 2-factors, exponentially in n. Above the bound
-    the DP's state count grows exponentially in the width and nothing caps
-    it, so wider graphs stay on the walk. Both engines count the same
-    2-factors, so which one ran never shows in the report.
+    The histogram comes from the frontier DP. Its state count grows
+    exponentially in the widest frontier of the greedy vertex order, and
+    nothing caps it: prisms and Möbius ladders (width 4) take milliseconds
+    at any n, the 30-vertex joins (widths 7-9) a few milliseconds and
+    gp(40, 3) (width 8) about 50 ms, but random cubic graphs on 100
+    vertices (widths 14-18) take tens of seconds and hundreds of megabytes.
     """
-    _require_cubic(g, "the 2-factor parity report")
-    hist = _frontier_histogram(g, FRONTIER_WIDTH)
-    if hist is None:
-        hist = Counter(cycles for _, cycles in _walk(g))
-    return TwoFactorReport(tuple(sorted(hist.items())))
+    for v, m in enumerate(adjacency_masks(g)):
+        if m.bit_count() != 3:
+            raise GraphError("the 2-factor parity report needs a cubic graph; "
+                             f"vertex {v} has degree {m.bit_count()}")
+    return TwoFactorReport(_frontier_histogram(g))

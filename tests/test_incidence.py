@@ -9,7 +9,7 @@ the generalized Petersen graph gp(8, 3).
 import networkx as nx
 import pytest
 
-from levibridge.canon import are_isomorphic, automorphism_group
+from levibridge.canon import automorphism_group, isomorphism
 from levibridge.graphs import (
     bipartition,
     girth,
@@ -89,15 +89,15 @@ class TestLeviGraphs:
     def test_fano_levi_is_heawood(self):
         g, sides = levi_graph(fano())
         assert g.n == 14 and is_cubic(g) and girth(g) == 6
-        assert are_isomorphic(g, heawood())
-        assert are_isomorphic(g, lcf([5, -5], 7))
+        assert isomorphism(g, heawood()) is not None
+        assert isomorphism(g, lcf([5, -5], 7)) is not None
         assert sides.side_a == frozenset(range(7))
 
     def test_mk_levi_is_gp83(self):
         g, _ = levi_graph(moebius_kantor())
         assert g.n == 16 and is_cubic(g) and girth(g) == 6
-        assert are_isomorphic(g, gp(8, 3))
-        assert are_isomorphic(g, lcf([5, -5], 8))
+        assert isomorphism(g, gp(8, 3)) is not None
+        assert isomorphism(g, lcf([5, -5], 8)) is not None
 
     def test_levi_bipartition_is_real(self):
         g, sides = levi_graph(moebius_kantor())

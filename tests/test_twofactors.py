@@ -4,8 +4,9 @@ Three independent oracles: the permanent of the biadjacency matrix (sympy)
 counts perfect matchings of bipartite graphs, exhaustive edge-subset
 enumeration recovers matchings and 2-factors of any small cubic graph, and
 a recursive enumerate-then-count reference checks the parity report of
-cubic graphs on up to 30 vertices. The matching walk in turn is the oracle
-for the frontier DP's cycle-count histogram.
+cubic graphs on up to 30 vertices. An iterative matching walk, the engine
+the frontier DP replaced, is the oracle for its cycle-count histogram on
+wider inputs.
 """
 
 import itertools
@@ -21,7 +22,9 @@ import pytest
 from sympy import Matrix
 
 from levibridge.graphs import (
+    Graph,
     GraphError,
+    _neighbor_tuples,
     adjacency_masks,
     bipartition,
     build,
@@ -41,12 +44,64 @@ from levibridge.twofactors import (
     MIXED,
     NO_TWO_FACTOR,
     TwoFactorReport,
-    _frontier_histogram,
-    _walk,
-    enumerate_perfect_matchings,
     pseudo_2fi,
-    two_factors,
 )
+
+
+def _walk(g: Graph):
+    """Depth-first walk over the perfect matchings of g, without recursion.
+
+    Matches the lowest uncovered vertex v to each uncovered neighbour u in
+    ascending order, so matchings come in lexicographic order. Each leaf
+    yields the pairs (one list, overwritten) and, for cubic g, the number
+    of cycles of the 2-factor left over. Matching v to u adds its edges at
+    v and u to uncovered vertices; `end[x]` is the far end of the path
+    ending at x, and joining a path's two ends closes a cycle. A branch
+    dies once an uncovered vertex has no uncovered neighbour: for cubic g
+    that keeps every vertex on two such edges at most, as the undo log needs.
+    """
+    n = g.n
+    if n % 2:
+        return
+    adj = adjacency_masks(g)
+    arcs = [tuple((a, b) for b in nb) for a, nb in enumerate(_neighbor_tuples(g))]
+    full = (1 << n) - 1
+    end = list(range(n))
+    log: list[int] = []  # flattened (vertex, its previous end) pairs
+    pairs = [(0, 0)] * (n // 2)
+    if not n:
+        yield pairs, 0
+        return
+    frames = [(0, adj[0], 0, 0, 0)]  # (v, untried partners, covered, cycles, log mark)
+    while frames:
+        v, untried, covered, cycles, mark = frames[-1]
+        while len(log) > mark:
+            end[log.pop()] = log.pop()
+        if not untried:
+            frames.pop()
+            continue
+        low = untried & -untried
+        frames[-1] = (v, untried ^ low, covered, cycles, mark)
+        u = low.bit_length() - 1
+        covered |= 1 << v | low
+        uncovered = ~covered
+        for a, b in arcs[v] + arcs[u]:
+            if uncovered >> b & 1:
+                if not adj[b] & uncovered:
+                    break  # b can no longer be matched: the branch dies
+                ea, eb = end[a], end[b]
+                if ea == b:
+                    cycles += 1
+                else:
+                    log += (ea, a, eb, b)
+                    end[ea], end[eb] = eb, ea
+        else:
+            pairs[len(frames) - 1] = (v, u)
+            if covered == full:
+                yield pairs, cycles
+            else:
+                v = (uncovered & (covered + 1)).bit_length() - 1
+                frames.append((v, adj[v] & uncovered, covered, cycles, len(log)))
 
 
 def _permanent_matching_count(g) -> int:
@@ -136,6 +191,12 @@ def _reference_cycle_count(edges, n: int) -> int:
     return count
 
 
+def _subset_histogram(g) -> tuple[tuple[int, int], ...]:
+    """The exhaustive oracle's 2-factors, counted by their cycles."""
+    counts = Counter(_reference_cycle_count(f, g.n) for f in _subset_two_factors(g))
+    return tuple(sorted(counts.items()))
+
+
 def _reference_report(g) -> tuple[TwoFactorReport, tuple[int, ...], str]:
     """Build every 2-factor as the complement of a matching, then count.
 
@@ -204,69 +265,44 @@ CUBIC_CORPUS = {
 class TestPerfectMatchings:
     def test_matches_exhaustive_oracle_on_corpus(self):
         for name, g in CUBIC_CORPUS.items():
-            mine = {frozenset(m) for m in enumerate_perfect_matchings(g)}
-            assert mine == _subset_matchings(g), name
+            assert pseudo_2fi(g).matching_count == len(_subset_matchings(g)), name
 
     def test_matches_permanent_on_bipartite_graphs(self):
         for g in (k33(), heawood(), pappus(), gp(4, 1), gp(8, 3)):
-            assert len(enumerate_perfect_matchings(g)) \
-                == _permanent_matching_count(g)
+            assert pseudo_2fi(g).matching_count == _permanent_matching_count(g)
 
     def test_matches_oracles_on_random_cubic_graphs(self):
         for seed in range(8):
             h = nx.random_regular_graph(3, 10, seed=seed)
             g = build(10, list(h.edges()))
-            mine = {frozenset(m) for m in enumerate_perfect_matchings(g)}
-            assert mine == _subset_matchings(g), seed
+            report = pseudo_2fi(g)
+            assert report.matching_count == len(_subset_matchings(g)), seed
+            assert report.histogram == _subset_histogram(g), seed
 
     def test_pinned_counts(self):
-        assert len(enumerate_perfect_matchings(k33())) == 6
-        assert len(enumerate_perfect_matchings(heawood())) == 24
-        assert len(enumerate_perfect_matchings(pappus())) == 42
-        assert len(enumerate_perfect_matchings(petersen())) == 6
-
-    def test_odd_graph_has_none(self):
-        assert enumerate_perfect_matchings(cycle(5)) == []
-
-    def test_output_is_deterministic_and_sorted(self):
-        first = enumerate_perfect_matchings(heawood())
-        assert first == enumerate_perfect_matchings(heawood())
-        assert first == sorted(first)
-
-    def test_long_path_needs_no_recursion(self):
-        # Recursing once per matched pair would overflow the stack here.
-        n = 4000
-        g = build(n, [(v, v + 1) for v in range(n - 1)])
-        assert enumerate_perfect_matchings(g) == [tuple((v, v + 1) for v in range(0, n, 2))]
+        assert pseudo_2fi(k33()).matching_count == 6
+        assert pseudo_2fi(heawood()).matching_count == 24
+        assert pseudo_2fi(pappus()).matching_count == 42
+        assert pseudo_2fi(petersen()).matching_count == 6
 
 
 class TestTwoFactors:
     def test_matches_exhaustive_oracle_on_corpus(self):
         for name, g in CUBIC_CORPUS.items():
-            mine = {frozenset(f) for f in two_factors(g)}
-            assert mine == _subset_two_factors(g), name
+            assert pseudo_2fi(g).histogram == _subset_histogram(g), name
 
     def test_matches_exhaustive_oracle_on_heawood(self):
-        mine = {frozenset(f) for f in two_factors(heawood())}
-        assert mine == _subset_two_factors(heawood())
+        assert pseudo_2fi(heawood()).histogram == _subset_histogram(heawood())
 
     def test_requires_cubic(self):
         with pytest.raises(GraphError):
-            two_factors(cycle(6))
+            pseudo_2fi(cycle(6))
 
     def test_parity_report_names_itself_and_the_degree_seen(self):
         g = build(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K4 less an edge
         with pytest.raises(GraphError, match=r"^the 2-factor parity report needs a "
                            r"cubic graph; vertex 2 has degree 2$"):
             pseudo_2fi(g)
-
-    def test_complement_structure(self):
-        g = petersen()
-        matchings = enumerate_perfect_matchings(g)
-        factors = two_factors(g)
-        for m, f in zip(matchings, factors):
-            assert set(m) | set(f) == set(g.edges)
-            assert not set(m) & set(f)
 
 
 class TestCycleCount:
@@ -358,7 +394,6 @@ class TestParityReport:
             assert report.cycle_counts == counts, g
             assert report.matching_count == len(counts), g
             assert report.status == status, g
-            assert enumerate_perfect_matchings(g) == _recursive_matchings(g), g
             statuses.add(status)
             most_cycles = max(most_cycles, *counts, 0)
         # The set reaches every status and 2-factors of more than 4 cycles.
@@ -374,8 +409,6 @@ def _status(hist) -> str:
 
 class TestFrontierHistogram:
     def test_matches_the_walk(self):
-        # No width bound: the DP runs on every input, whichever engine
-        # pseudo_2fi would pick.
         rng = random.Random(20261)
         graphs = [_relabelled(rng, n, _random_cubic_edges(rng, n))
                   for n in range(12, 31, 2) for _ in range(2)]
@@ -390,14 +423,21 @@ class TestFrontierHistogram:
         statuses = set()
         for g in graphs:
             walked = Counter(cycles for _, cycles in _walk(g))
-            assert _frontier_histogram(g, g.n) == walked, g
+            assert pseudo_2fi(g).histogram == tuple(sorted(walked.items())), g
             statuses.add(_status(walked))
         assert statuses == {ALL_ODD, ALL_EVEN, MIXED, NO_TWO_FACTOR}
 
-    def test_stops_once_the_frontier_passes_the_width(self):
-        g = gp(20, 3)
-        assert _frontier_histogram(g, 5) is None
-        assert sum(_frontier_histogram(g, g.n).values()) == 1584
+    def test_generalized_petersen_with_a_million_two_factors_takes_seconds(self):
+        # gp(40, 3)'s frontier is 8 wide. Its histogram was confirmed once
+        # with the matching walk, which took about five minutes.
+        start = time.perf_counter()
+        report = pseudo_2fi(gp(40, 3))
+        assert time.perf_counter() - start < 10
+        assert report.matching_count == 1327248
+        assert report.status == MIXED
+        assert report.histogram == (
+            (1, 89656), (2, 304916), (3, 371600), (4, 314690), (5, 171420),
+            (6, 60518), (7, 12540), (8, 1900), (10, 8))
 
     def test_prism_with_a_million_two_factors_takes_seconds(self):
         # Listing the 1,860,500 2-factors with the matching walk takes about
