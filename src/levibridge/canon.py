@@ -1,18 +1,20 @@
 """Canonical labeling, isomorphism and automorphisms by individualization-refinement.
 
 The search refines an ordered partition to equitability (neighbor-count
-splitting; a splitter only touches the cells that meet its neighbourhood),
+splitting; a splitter only touches the cells that meet its neighbourhood,
+and a split queues every fragment but the last, which splits nothing),
 individualizes vertices from the first largest cell, and keeps the least
 leaf key (refinement path, certificate). Children are visited in vertex
-order and refined only when entered, after the orbit test: the kept
+order and refined only when entered, after the orbit test: the found
 automorphisms that fix the individualized vertices skip a child in the
 orbit of one already searched. Traces prune branches that cannot win, and
-automorphisms fall out whenever two leaves carry equal keys; one is kept
-only if it enlarges the group found so far (a stabilizer chain decides). A
-leaf equal to the first leaf backjumps to the node where the two paths
-diverge, as in nauty (McKay & Piperno, "Practical graph isomorphism, II",
-2014), since the automorphism just found maps the first path's subtree
-onto the rest of the current one.
+automorphisms fall out whenever two leaves carry equal keys; each one found
+is kept in a plain list, and the stabilizer chain of the group they
+generate is built only when `CanonicalForm.group` is first read, so an
+isomorphism test builds none. A leaf equal to the first leaf backjumps to
+the node where the two paths diverge, as in nauty (McKay & Piperno,
+"Practical graph isomorphism, II", 2014), since the automorphism just found
+maps the first path's subtree onto the rest of the current one.
 
 None of this changes the result: the least key does not depend on the
 order of the search, the labelling returned is the least vertex sequence
@@ -23,6 +25,7 @@ for graphs up to a few hundred vertices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, adjacency_masks, build, graph6_encode
@@ -35,8 +38,14 @@ class CanonicalForm:
     certificate: bytes
     order: tuple[int, ...]  # order[p] = original vertex at canonical position p
     color_sizes: tuple[int, ...]
-    # The group of the automorphisms the same search kept; elements close lazily.
-    group: PermGroup = field(compare=False, repr=False)
+    # Every automorphism the same search found, in the order it found them.
+    automorphisms: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def group(self) -> PermGroup:
+        """The group the found automorphisms generate; its stabilizer chain
+        is built on first read, and elements close lazily."""
+        return PermGroup(self.graph.n, self.automorphisms)
 
 
 def _mask(cell) -> int:
@@ -67,6 +76,20 @@ def _refine(adj, cells, queue):
     the trace is the index before the pass. Returns the refined ordered
     partition and a trace of the splits made; the trace depends only on the
     isomorphism type of the partitioned graph.
+
+    A cell C split into fragments F1..Fk (in count order) queues F1..F(k-1)
+    but not Fk, which would split nothing. By the time Fk would be popped:
+    - the partition is equitable with respect to C: C was a cell of the
+      equitable partition the caller refines from, or was queued ahead of
+      its fragments and so processed first, or is itself a dropped last
+      fragment (by induction);
+    - F1..F(k-1), queued ahead of Fk, have all been processed.
+    Cells only split further after that, so for a vertex x of any current
+    cell |N(x) & Fk| = |N(x) & C| - sum over i < k of |N(x) & Fi| is
+    constant on the cell: Fk splits nothing and writes no trace entry.
+    Cells and trace are those of a queue holding every fragment. A child
+    queues only its individualized vertex: the rest of its cell is the
+    last fragment of a cell of an equitable partition.
     """
     cells = list(cells)
     masks = [_mask(c) for c in cells]
@@ -86,7 +109,7 @@ def _refine(adj, cells, queue):
             if len(buckets) > 1:
                 counts = sorted(buckets)
                 frags = [tuple(buckets[cnt]) for cnt in counts]
-                queue.extend(frags)
+                queue.extend(frags[:-1])  # frags[-1] splits nothing; see above
                 trace.append((pos, tuple(zip(counts, map(len, frags)))))
                 splits.append((pos, frags))
         for pos, frags in reversed(splits):
@@ -104,7 +127,7 @@ class _Search:
         self.tri = self.n * (self.n - 1) // 2
         self.best = None  # (path, cert, labeling)
         self.first = None  # (path, cert, labeling, prefix) of the first leaf
-        self.group = PermGroup(self.n)  # group.generators: the kept automorphisms
+        self.autos = []  # every automorphism found, in order
         root, trace = _refine(self.adj, cells, list(cells))
         inv = (tuple(len(c) for c in root), trace)
         self._node(root, (inv,), ())
@@ -125,7 +148,7 @@ class _Search:
 
     def _record_auto(self, lab_a, lab_b):
         if lab_a != lab_b:
-            self.group.add(_labelling_map(lab_a, lab_b, self.edges, self.edge_set))
+            self.autos.append(_labelling_map(lab_a, lab_b, self.edges, self.edge_set))
 
     def _prefix_beats(self, path, ref) -> bool:
         """True when ref (a stored full path) is still reachable from path."""
@@ -146,7 +169,8 @@ class _Search:
           images, under a found automorphism fixing the node's prefix,
           of subtrees searched before; each skipped leaf has the key of
           its preimage, whose vertex sequence is smaller, so they hide
-          neither the least leaf nor a generator the group lacks.
+          neither the least leaf nor an automorphism outside the group
+          generated by those found.
         Certificate, labelling and |Aut| are therefore unchanged.
         """
         ok_best = self._prefix_beats(path, self.best)
@@ -174,13 +198,14 @@ class _Search:
                 self._record_auto(self.best[2], lab)
             return None
         cell = cells[target]
-        # An automorphism fixing the prefix maps the subtree of a searched
-        # child w onto that of v; skipping v loses no leaf certificate and,
-        # the subtree being an image, no generator the group lacks. `covered`
-        # is the union of the tried children's orbits under those automorphisms.
+        # A found automorphism fixing the prefix maps the subtree of a
+        # searched child w onto that of v; skipping v loses no leaf
+        # certificate and, the subtree being an image, no automorphism the
+        # found ones do not generate. `covered` is the union of the tried
+        # children's orbits under those automorphisms.
         tried, covered, seen = [], set(), None
+        autos = self.autos
         for v in sorted(cell):
-            autos = self.group.generators
             if seen != len(autos):  # a child found automorphisms: orbits may merge
                 seen = len(autos)
                 fixing = [p for p in autos if all(p[x] == x for x in prefix)]
@@ -192,7 +217,7 @@ class _Search:
             rest = tuple(u for u in cell if u != v)
             child = list(cells)
             child[target:target + 1] = [(v,), rest]
-            refined, trace = _refine(self.adj, child, [(v,), rest])
+            refined, trace = _refine(self.adj, child, [(v,)])
             inv = (tuple(len(c) for c in refined), trace)
             jump = self._node(refined, path + (inv,), prefix + (v,))
             if jump is not None and jump < len(prefix):
@@ -203,7 +228,7 @@ class _Search:
 def _normalize_cells(g: Graph, cells):
     if cells is None:
         cells = [tuple(range(g.n))] if g.n else []
-    cells = [tuple(c) for c in cells if len(tuple(c))]
+    cells = [c for c in map(tuple, cells) if c]
     flat = sorted(v for c in cells for v in c)
     if flat != list(range(g.n)):
         raise GraphError("cells must partition the vertex set")
@@ -219,7 +244,7 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
     cells = _normalize_cells(g, cells)
     if g.n == 0:
         empty = build(0, [])
-        return CanonicalForm(empty, graph6_encode(empty), (), (), PermGroup(0, []))
+        return CanonicalForm(empty, graph6_encode(empty), (), (), ())
     search = _Search(g, cells)
     lab = search.best[2]
     pos = [0] * g.n
@@ -227,7 +252,7 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
         pos[v] = p
     canon = build(g.n, [(pos[u], pos[v]) for u, v in g.edges])
     return CanonicalForm(
-        canon, graph6_encode(canon), lab, tuple(len(c) for c in cells), search.group
+        canon, graph6_encode(canon), lab, tuple(len(c) for c in cells), tuple(search.autos)
     )
 
 

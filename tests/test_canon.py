@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levibridge.canon import (
+    _labelling_map,
     _Search,
     _refine,
     automorphism_group,
@@ -31,11 +32,13 @@ from levibridge.graphs import (
     graph6_encode,
     heawood,
     k33,
+    lcf,
     moebius_kantor_graph,
     pappus,
     petersen,
     prism,
 )
+from levibridge.groups import PermGroup
 
 
 def _random_graph(rng: random.Random, n: int):
@@ -118,7 +121,16 @@ class _UnionFind:
 class _RefineAllSearch(_Search):
     """The earlier search loop: refine every child of a node, sort the
     children by (inv, v), then search them with orbit pruning and no
-    backjumping."""
+    backjumping. It keeps its own group and, as that loop did, only the
+    automorphisms that enlarge it, so it prunes with those alone."""
+
+    def __init__(self, g, cells):
+        self.group = PermGroup(g.n)
+        super().__init__(g, cells)
+
+    def _record_auto(self, lab_a, lab_b):
+        if lab_a != lab_b:
+            self.group.add(_labelling_map(lab_a, lab_b, self.edges, self.edge_set))
 
     def _node(self, cells, path, prefix):
         ok_best = self._prefix_beats(path, self.best)
@@ -218,6 +230,12 @@ class TestCanonicalForm:
             assert nx.is_isomorphic(_to_nx(g), _to_nx(cf.graph))
             assert graph6_encode(cf.graph) == cf.certificate
 
+    def test_cells_may_be_iterators(self):
+        """Each cell is read once, so a cell given as an iterator counts."""
+        g = gp(5, 2)
+        cf, ref = canonical_form(g, [iter(range(10))]), canonical_form(g)
+        assert (cf.certificate, cf.order, cf.color_sizes) == (ref.certificate, ref.order, (10,))
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_relabeling_invariance_property(self, data):
@@ -250,6 +268,24 @@ class TestIsomorphism:
         h_edges = set(h.edges)
         for u, v in g.edges:
             assert tuple(sorted((phi[u], phi[v]))) in h_edges
+
+    def test_builds_no_stabilizer_chain(self, monkeypatch):
+        """An isomorphism test reads no automorphism group, so it adds no
+        element to a stabilizer chain; its mapping is the one the two
+        canonical labellings give."""
+        def no_chain(self, g):
+            raise AssertionError("isomorphism built a stabilizer chain")
+
+        tutte_8_cage = lcf([-13, -9, 7, -7, 9, 13], 5)
+        graphs = (heawood(), tutte_8_cage, goedgebeur_graph(), build(12, []))
+        # Patched only now: the join comes from the census, which reads groups.
+        monkeypatch.setattr(PermGroup, "add", no_chain)
+        rng = random.Random(9)
+        for g in graphs:
+            h = _shuffle(g, rng)
+            expected = _labelling_map(canonical_form(g).order, canonical_form(h).order,
+                                      g.edges, set(h.edges))
+            assert isomorphism(g, h) == expected
 
     def test_cospectral_mates_not_isomorphic(self):
         # Same vertex and edge counts, different structure.
@@ -318,6 +354,31 @@ class TestSearchOrder:
             adj = adjacency_masks(g)
             assert (_refine(adj, cells, list(cells))
                     == _refine_every_cell(adj, cells, [_mask(c) for c in cells]))
+
+    def test_child_refinement_matches_every_cell_refinement(self):
+        """A child refines from its individualized vertex alone: from an
+        equitable partition, that gives the cells and trace of queueing both
+        parts of the split cell to the earlier refinement."""
+        rng = random.Random(808)
+        graphs = [_random_graph(rng, rng.randint(2, 14)) for _ in range(150)]
+        graphs += [bridge_graph(s) for s in rng.sample(all_bridge_specs(), 12)]
+        for g in graphs:
+            verts = list(range(g.n))
+            rng.shuffle(verts)
+            cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n // 3)))
+            cells = [tuple(verts[a:b]) for a, b in zip([0] + cuts, cuts + [g.n])]
+            adj = adjacency_masks(g)
+            equitable, _ = _refine(adj, cells, list(cells))
+            size = max(map(len, equitable))
+            if size == 1:
+                continue
+            target = next(i for i, c in enumerate(equitable) if len(c) == size)
+            for v in equitable[target]:
+                rest = tuple(u for u in equitable[target] if u != v)
+                child = list(equitable)
+                child[target:target + 1] = [(v,), rest]
+                assert (_refine(adj, child, [(v,)])
+                        == _refine_every_cell(adj, child, [1 << v, _mask(rest)])), g
 
 
 def _nx_aut_order(g) -> int:
