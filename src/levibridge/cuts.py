@@ -5,12 +5,19 @@ A cut is *trivial* when one side is a single vertex, and *cyclic* when both
 sides contain a cycle. The cyclic edge connectivity is the minimum size of a
 cut whose removal leaves two components that each contain a cycle; it is
 reported as None when no such cut exists (the graph has no pair of
-vertex-disjoint cycles). Both questions are answered by maximum flows
-between contracted vertex sets: edges for the first, chordless cycles for
-the second. The cyclic search needs only short chordless cycles, and only
-the flows from a few *source* cycles: a cut that crosses a cycle holds at
-least 2 of its edges, so once p pairwise edge-disjoint sources have been
-processed, any cut still unseen has at least 2p edges.
+vertex-disjoint cycles). A graph is essentially 4-edge-connected when every
+cut of at most 3 edges is trivial; in a cubic graph that holds exactly when
+the cyclic edge connectivity is None or at least 4.
+
+One loop answers both questions: maximum flows between contracted vertex
+sets, from a few *source* cycles to targets vertex-disjoint from them. A cut
+that crosses a cycle holds at least 2 of its edges, so once p pairwise
+edge-disjoint sources have been processed, any cut still unseen has at least
+2p edges. Up to 40 vertices the targets are short chordless cycles, and the
+search, cached on the graph, gives the exact cyclic edge connectivity and a
+minimum cyclic cut, from which both answers are read. Above 40 vertices the
+essential check runs the loop from two edge-disjoint shortest cycles to
+every edge.
 """
 
 from __future__ import annotations
@@ -28,20 +35,7 @@ class CutCertificate:
     cut: tuple[tuple[int, int], ...]
     side_a: frozenset[int]
     side_b: frozenset[int]
-    kind: str  # "trivial", "non-trivial" or "cyclic"
-
-
-def _side_has_cycle(g: Graph, side: frozenset[int]) -> bool:
-    inside = sum(1 for u, v in g.edges if u in side and v in side)
-    return inside >= len(side)
-
-
-def _cut_kind(g: Graph, side_a: frozenset[int], side_b: frozenset[int]) -> str:
-    if min(len(side_a), len(side_b)) == 1:
-        return "trivial"
-    if _side_has_cycle(g, side_a) and _side_has_cycle(g, side_b):
-        return "cyclic"
-    return "non-trivial"
+    kind: str  # always "cyclic" (see is_essentially_4_edge_connected)
 
 
 def _chordless_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
@@ -117,37 +111,141 @@ def _min_cut_between(g: Graph, side_s: frozenset[int], side_t: frozenset[int],
     return value, None
 
 
+def _cycle_edges(cycle: tuple[int, ...]) -> frozenset[frozenset[int]]:
+    return frozenset(frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1]))
+
+
+def _shortest_cycle(g: Graph, banned: frozenset[frozenset[int]]) -> tuple[int, ...] | None:
+    """A shortest cycle of g without the edges in `banned`, as its vertices in
+    cycle order; None when what is left is a forest.
+
+    Breadth-first search from every root, as in `girth`: a non-tree edge xy
+    closes a walk through the root of depth(x) + depth(y) + 1 edges, and the
+    tree paths from x and y to their lowest common ancestor close a cycle no
+    longer than that. Rooted on a shortest cycle, some non-tree edge gives
+    exactly its length, and every edge seen from depth d gives at least 2d.
+    """
+    nbrs = _neighbor_tuples(g)
+    best: tuple[int, ...] | None = None
+    for root in range(g.n):
+        parent, depth = {root: root}, {root: 0}
+        queue = [root]
+        for x in queue:
+            if best is not None and 2 * depth[x] >= len(best):
+                break
+            for y in nbrs[x]:
+                if y == parent[x] or (banned and frozenset((x, y)) in banned):
+                    continue
+                if y not in parent:
+                    parent[y], depth[y] = x, depth[x] + 1
+                    queue.append(y)
+                elif best is None or depth[x] + depth[y] + 1 < len(best):
+                    up_x, up_y = [x], [y]
+                    while up_x[-1] != up_y[-1]:
+                        if depth[up_x[-1]] >= depth[up_y[-1]]:
+                            up_x.append(parent[up_x[-1]])
+                        else:
+                            up_y.append(parent[up_y[-1]])
+                    best = tuple(up_x + up_y[-2::-1])
+    return best
+
+
+def _packed_search(g: Graph, cycles: list[tuple[int, ...]],
+                   targets: list[frozenset[int]] | None,
+                   best: int | None) -> tuple[int | None, frozenset[int] | None]:
+    """The smallest flow below `best` from source cycles to the vertex sets
+    disjoint from them, with the source side of a minimum cut of that size.
+
+    The `cycles` become sources one at a time: the first one edge-disjoint
+    from all packed sources, which is then packed and counts towards p, else
+    the first one left. A source's flows go to each set in `targets` that it
+    does not meet or, when `targets` is None, to each cycle that has not been
+    a source yet. The search stops once 2p reaches `best` (None is no bound),
+    because a cut crossing p pairwise edge-disjoint cycles has at least 2p
+    edges. The side is None when no flow went below the starting `best`.
+    """
+    vertices = [frozenset(c) for c in cycles]
+    edges = [_cycle_edges(c) for c in cycles]
+    unprocessed = list(range(len(cycles)))
+    packed: set[frozenset[int]] = set()  # edges of the pairwise edge-disjoint sources
+    p = 0
+    side: frozenset[int] | None = None
+    while unprocessed and (best is None or 2 * p < best):
+        source = next((i for i in unprocessed if not edges[i] & packed), unprocessed[0])
+        if not edges[source] & packed:
+            packed |= edges[source]
+            p += 1
+        unprocessed.remove(source)
+        for target in targets if targets is not None else [vertices[i] for i in unprocessed]:
+            if not vertices[source] & target:
+                value, reach = _min_cut_between(g, vertices[source], target, best)
+                if best is None or value < best:
+                    best, side = value, reach
+    return best, side
+
+
+def _cyclic_cut(g: Graph) -> tuple[int | None, frozenset[int] | None]:
+    """The cyclic search over chordless cycles of at most `_CHORDLESS_CAP`
+    vertices: the cyclic edge connectivity and a side of a minimum cyclic cut.
+
+    Cached on g like its adjacency masks, so each of the two questions asked
+    of one graph reads the same search.
+    """
+    found = g.__dict__.get("_cyclic_cut")
+    if found is None:
+        cycles = sorted(_chordless_cycles(g, _CHORDLESS_CAP), key=len)
+        found = g.__dict__["_cyclic_cut"] = _packed_search(g, cycles, None, None)
+    return found
+
+
+def _small_cut_to_edges(g: Graph) -> tuple[int, frozenset[int] | None]:
+    """The size and a side of a minimum cyclic cut of at most 3 edges, or
+    (4, None) when there is none, for a connected cubic graph of any size.
+
+    A cut of at most 3 edges cannot cross two edge-disjoint cycles, as it
+    would hold 2 edges of each, so one of them lies inside a side of a
+    minimum such cut. The other side is connected and has at least 3
+    vertices, so it holds an edge disjoint from that cycle, and the flow
+    between the two is at most the cut. Conversely, a flow below 4 between a
+    cycle and an edge separates two sets of at least 2 vertices. So the flows
+    from two edge-disjoint cycles to every edge, starting from a best of 4,
+    find the minimum. Without the second cycle the graph is K4 or K3,3:
+    removing a shortest cycle of length L leaves 3n/2 - L edges, so a forest
+    remains only when the girth exceeds n/2, which by the Moore bound needs
+    n <= 6, too few vertices for two vertex-disjoint cycles.
+    """
+    first = _shortest_cycle(g, frozenset())
+    second = _shortest_cycle(g, _cycle_edges(first))
+    cycles = [first] if second is None else [first, second]
+    return _packed_search(g, cycles, [frozenset(e) for e in g.edges], 4)
+
+
 def is_essentially_4_edge_connected(g: Graph) -> tuple[bool, CutCertificate | None]:
     """True when every edge cut of size at most 3 is trivial.
 
     In a cubic graph a side with k >= 2 vertices and c <= 3 boundary edges
     spans (3k - c)/2 >= k edges, so both sides of a non-trivial cut of at
-    most 3 edges hold a cycle. The sides of a minimum such cut are connected,
-    so one holds vertex 0 and a neighbour x, the other some edge f. Hence
-    the graph is essentially 4-edge-connected exactly when, for each of the
-    3 edges {0, x} and every edge f disjoint from it, the maximum flow
-    between the two contracted edges is at least 4; a flow below 4 separates
-    two sets of at least 2 vertices, a non-trivial cut.
+    most 3 edges hold a cycle: the cut is cyclic. Hence the graph is
+    essentially 4-edge-connected exactly when its cyclic edge connectivity
+    is None or at least 4. Up to 40 vertices the answer is read off the
+    cached cyclic search (`cyclic_edge_connectivity`); above, the same flows
+    run from two edge-disjoint shortest cycles to every edge (see
+    `_small_cut_to_edges`).
 
-    The certificate is the first such cut found, with vertex 0 in `side_a`:
-    a "cyclic" cut of at most 3 edges whose removal leaves exactly its two
-    connected sides, though not always the smallest such cut.
+    The certificate is a minimum cyclic cut, of at most 3 edges, whose
+    removal leaves exactly its two connected sides. Either side may hold
+    vertex 0.
     """
     if not is_cubic(g):
         raise GraphError("essential 4-edge-connectivity needs a cubic graph")
     if len(components(adjacency_masks(g))) != 1:  # no vertices counts as disconnected
         raise GraphError("essential 4-edge-connectivity needs a connected graph")
-    for x in g.neighbors(0):
-        for f in g.edges:
-            if 0 in f or x in f:
-                continue
-            _, side_a = _min_cut_between(g, frozenset((0, x)), frozenset(f), 4)
-            if side_a is not None:
-                side_b = frozenset(range(g.n)) - side_a
-                cut = tuple(e for e in g.edges if (e[0] in side_a) != (e[1] in side_a))
-                return False, CutCertificate(cut, side_a, side_b,
-                                             _cut_kind(g, side_a, side_b))
-    return True, None
+    best, side_a = _cyclic_cut(g) if g.n <= 40 else _small_cut_to_edges(g)
+    if best is None or best >= 4:
+        return True, None
+    side_b = frozenset(range(g.n)) - side_a
+    cut = tuple(e for e in g.edges if (e[0] in side_a) != (e[1] in side_a))
+    return False, CutCertificate(cut, side_a, side_b, "cyclic")
 
 
 def cyclic_edge_connectivity(g: Graph) -> int | None:
@@ -167,17 +265,18 @@ def cyclic_edge_connectivity(g: Graph) -> int | None:
     cycle's boundary leaves the other cycle intact, and moving whole spare
     components across only shrinks the boundary.
 
-    The pairs are taken source by source, shortest cycle first, and each
-    source is paired with every vertex-disjoint cycle that has not been a
-    source yet, so once a source C is done every pair containing C has had
-    its flow. Then either some side of a minimum cut contains C, and the
-    flow to the other side's short chordless cycle has already found the
-    minimum, or every minimum cut crosses C and so holds at least 2 of its
-    edges. The next source is the shortest cycle edge-disjoint from all
-    packed sources (the shortest remaining one if none is), and a packed
-    source counts towards p. A cut crossing p pairwise edge-disjoint cycles
-    has at least 2p edges, so the search stops as soon as 2p reaches the
-    best flow found.
+    The pairs are taken source by source, shortest cycle first (see
+    `_packed_search`), and each source is paired with every vertex-disjoint
+    cycle that has not been a source yet, so once a source C is done every
+    pair containing C has had its flow. Then either some side of a minimum
+    cut contains C, and the flow to the other side's short chordless cycle
+    has already found the minimum, or every minimum cut crosses C and so
+    holds at least 2 of its edges, which the packing bound counts.
+
+    The search keeps the source side of the pair that set the minimum, and
+    caches it on g with the value. Both sides of that cut are connected: the
+    side is reached from a cycle along edges, and a part of the other side
+    that missed the target cycle could move across and shrink the cut.
     """
     if not is_cubic(g):
         raise GraphError("cyclic edge connectivity needs a cubic graph")
@@ -185,22 +284,4 @@ def cyclic_edge_connectivity(g: Graph) -> int | None:
         raise GraphError("cyclic edge connectivity is implemented for at most 40 vertices")
     if len(components(adjacency_masks(g))) != 1:
         raise GraphError("cyclic edge connectivity needs a connected graph")
-    cycles = sorted(_chordless_cycles(g, _CHORDLESS_CAP), key=len)
-    vertices = [frozenset(c) for c in cycles]
-    edges = [frozenset(frozenset(e) for e in zip(c, c[1:] + c[:1])) for c in cycles]
-    unprocessed = list(range(len(cycles)))
-    packed: set[frozenset[int]] = set()  # edges of the pairwise edge-disjoint sources
-    p = 0
-    best: int | None = None
-    while unprocessed and (best is None or 2 * p < best):
-        source = next((i for i in unprocessed if not edges[i] & packed), unprocessed[0])
-        if not edges[source] & packed:
-            packed |= edges[source]
-            p += 1
-        unprocessed.remove(source)
-        for target in unprocessed:
-            if not vertices[source] & vertices[target]:
-                value, _ = _min_cut_between(g, vertices[source], vertices[target], best)
-                if best is None or value < best:
-                    best = value
-    return best
+    return _cyclic_cut(g)[0]

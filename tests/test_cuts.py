@@ -20,8 +20,10 @@ from levibridge import cuts
 from levibridge.construction import bridge_census, bridge_graph, goedgebeur_graph
 from levibridge.cuts import (
     _CHORDLESS_CAP,
+    CutCertificate,
     _chordless_cycles,
     _min_cut_between,
+    _small_cut_to_edges,
     cyclic_edge_connectivity,
     is_essentially_4_edge_connected,
 )
@@ -94,6 +96,52 @@ def _brute_force_has_nontrivial_small_cut(g) -> bool:
             if any(2 <= len(c) <= g.n - 2 for c in nx.connected_components(h)):
                 return True
     return False
+
+
+def _side_has_cycle(g, side: frozenset[int]) -> bool:
+    inside = sum(1 for u, v in g.edges if u in side and v in side)
+    return inside >= len(side)
+
+
+def _cut_kind(g, side_a: frozenset[int], side_b: frozenset[int]) -> str:
+    if min(len(side_a), len(side_b)) == 1:
+        return "trivial"
+    if _side_has_cycle(g, side_a) and _side_has_cycle(g, side_b):
+        return "cyclic"
+    return "non-trivial"
+
+
+def _pair_loop_essentially_4_edge_connected(g):
+    """The earlier essential check, kept verbatim as an oracle: the flow from
+    each edge {0, x} to every edge disjoint from it, stopped at 4. The
+    certificate is the first cut found, with vertex 0 in `side_a`."""
+    for x in g.neighbors(0):
+        for f in g.edges:
+            if 0 in f or x in f:
+                continue
+            _, side_a = _min_cut_between(g, frozenset((0, x)), frozenset(f), 4)
+            if side_a is not None:
+                side_b = frozenset(range(g.n)) - side_a
+                cut = tuple(e for e in g.edges if (e[0] in side_a) != (e[1] in side_a))
+                return False, CutCertificate(cut, side_a, side_b,
+                                             _cut_kind(g, side_a, side_b))
+    return True, None
+
+
+def _assert_small_cyclic_cut(g, cert):
+    """`cert` is a cut of at most 3 edges whose removal leaves exactly its two
+    sides, each connected, with at least 2 vertices and a cycle."""
+    crossing = {(u, v) for u, v in g.edges if (u in cert.side_a) != (v in cert.side_a)}
+    assert set(cert.cut) == crossing and len(cert.cut) <= 3
+    assert min(len(cert.side_a), len(cert.side_b)) >= 2
+    assert cert.side_a | cert.side_b == frozenset(range(g.n))
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(set(g.edges) - crossing)
+    assert nx.number_connected_components(h) == 2
+    for side in (cert.side_a, cert.side_b):  # a side holds a cycle when it spans |side| edges
+        assert sum(1 for u, v in g.edges if u in side and v in side) >= len(side)
+    assert cert.kind == "cyclic"
 
 
 def _random_cubic(rng, n):
@@ -226,8 +274,10 @@ class TestCyclicEdgeConnectivity:
 
     def test_goedgebeur_graph_takes_at_most_48_flows(self, flows):
         # The graph has 288 vertex-disjoint pairs of chordless cycles; the
-        # search stops after 3 packed sources.
-        assert cyclic_edge_connectivity(goedgebeur_graph()) == 6
+        # search stops after 3 packed sources. A fresh copy, because the
+        # shared graph may already carry a cached search.
+        g = goedgebeur_graph()
+        assert cyclic_edge_connectivity(build(g.n, g.edges)) == 6
         assert 0 < len(flows) <= 48
 
     def test_certify_pool_takes_at_most_11000_flows(self, flows):
@@ -296,17 +346,59 @@ class TestEssentially4EdgeConnected:
             failures += 1
             nbrs = g.neighbors(0)
             triangle_at_0 += any((u, v) in g.edges for u in nbrs for v in nbrs)
-            crossing = {(u, v) for u, v in g.edges if (u in cert.side_a) != (v in cert.side_a)}
-            assert set(cert.cut) == crossing and len(cert.cut) <= 3
-            assert min(len(cert.side_a), len(cert.side_b)) >= 2
-            assert cert.side_a | cert.side_b == frozenset(range(g.n))
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(set(g.edges) - crossing)
-            assert nx.number_connected_components(h) == 2
-            assert cert.kind == "cyclic"
+            _assert_small_cyclic_cut(g, cert)
         # The set exercises both answers and a cut next to a triangle at vertex 0.
         assert 0 < failures < total and triangle_at_0 > 0
+
+    def test_one_search_serves_both_questions(self, flows):
+        pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "data"
+                           / "certify_pool.json").read_text())
+        for item in pool:
+            expect = (item["expect"]["ess4"], item["expect"]["cyclic"])
+            cyclic_edge_connectivity(graph6_decode(item["g6"]))
+            alone = len(flows)
+            g = graph6_decode(item["g6"])
+            assert (is_essentially_4_edge_connected(g)[0], cyclic_edge_connectivity(g)) == expect
+            assert len(flows) == 2 * alone, item["name"]
+            g = graph6_decode(item["g6"])
+            assert (cyclic_edge_connectivity(g), is_essentially_4_edge_connected(g)[0]) == expect[::-1]
+            assert len(flows) == 3 * alone, item["name"]
+            flows.clear()
+
+    def test_edge_targets_match_oracles(self):
+        # The route taken above 40 vertices, run directly on small graphs too.
+        rng = random.Random(20225)
+        graphs = [(g, _brute_force_has_nontrivial_small_cut(g)) for _, g in _oracle_graphs()]
+        specs = [(n, _random_cubic(rng, n)) for n in range(8, 61, 4) for _ in range(2)]
+        specs += [_joined(rng, k, n1, n2) for k in (1, 2, 3)
+                  for n1, n2 in ((4, 10), (12, 14), (20, 22), (8, 40), (30, 30))]
+        graphs += [(build(n, edges), None) for n, edges in specs]
+        # Here the shortest cycle crosses every 3-edge cut, so the flows from
+        # it alone see no cut below 4, and the second source is needed.
+        graphs.append((_crossed_heawood_join(), None))
+        sizes, past_40 = set(), set()
+        for g, small_cut in graphs:
+            best, side_a = _small_cut_to_edges(g)
+            ok = best == 4
+            assert ok == (side_a is None)
+            old_ok, old_cert = _pair_loop_essentially_4_edge_connected(g)
+            assert ok == old_ok
+            if not old_ok:
+                _assert_small_cyclic_cut(g, old_cert)
+            if small_cut is not None:
+                assert ok == (not small_cut)
+            if g.n <= 40:
+                cyclic = cyclic_edge_connectivity(g)
+                assert best == (4 if cyclic is None or cyclic >= 4 else cyclic)
+            if not ok:
+                side_b = frozenset(range(g.n)) - side_a
+                cut = tuple(e for e in g.edges if (e[0] in side_a) != (e[1] in side_a))
+                assert len(cut) == best
+                _assert_small_cyclic_cut(g, CutCertificate(cut, side_a, side_b, "cyclic"))
+                sizes.add(best)
+            if g.n > 40:
+                past_40.add(ok)
+        assert sizes == {1, 2, 3} and past_40 == {True, False}
 
     def test_cube_holds(self):
         ok, cert = is_essentially_4_edge_connected(gp(4, 1))
