@@ -23,7 +23,6 @@ from .construction import (
     identify_goedgebeur,
     marked_edges,
     mk_residue,
-    quadrilaterals_mutually_inscribed,
 )
 from .cuts import (
     CutCertificate,

@@ -19,7 +19,11 @@ from .construction import (
     goedgebeur_configuration,
     goedgebeur_graph,
 )
-from .cuts import cyclic_edge_connectivity, is_essentially_4_edge_connected
+from .cuts import (
+    CYCLIC_MAX_VERTICES,
+    cyclic_edge_connectivity,
+    is_essentially_4_edge_connected,
+)
 from .graphs import (
     Graph,
     Graph6Error,
@@ -115,7 +119,7 @@ def _cmd_props(args) -> int:
         ess4 = cyc = None
         if cubic and len(components(adjacency_masks(g))) == 1:
             ess4, _ = is_essentially_4_edge_connected(g)
-            if g.n <= 40:
+            if g.n <= CYCLIC_MAX_VERTICES:
                 cyc = cyclic_edge_connectivity(g)
         print(json.dumps({
             "vertices": g.n,

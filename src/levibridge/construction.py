@@ -136,58 +136,6 @@ class Residue:
         return self.base.lines[j] - gone
 
 
-def quadrilaterals_mutually_inscribed(
-    c: Configuration,
-) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """All ordered pairs of mutually inscribed quadrilaterals.
-
-    A quadrilateral is a cyclic 4-tuple of points with no three collinear
-    in which consecutive points are collinear (the sides) and opposite
-    points are not (diagonal-free). Two quadrilaterals are mutually
-    inscribed when each side of one passes through a vertex of the other,
-    and vice versa. Every row is (points, companion vertices in side order,
-    side line indices); the cycle starts at its smallest point and runs
-    toward the smaller neighbor, and each ordered pair contributes one row
-    for each quadrilateral.
-    """
-    line_through: dict[frozenset[int], int] = {}
-    for j, line in enumerate(c.lines):
-        for pair in itertools.combinations(sorted(line), 2):
-            line_through[frozenset(pair)] = j
-
-    quads = []
-    for four in itertools.combinations(range(c.n_points), 4):
-        if any(len(line & set(four)) >= 3 for line in c.lines):
-            continue
-        a, *rest = four
-        for perm in itertools.permutations(rest):
-            if perm[0] > perm[2]:
-                continue  # keep one direction of each cycle
-            cycle = (a,) + perm
-            side_pairs = [
-                frozenset((cycle[i], cycle[(i + 1) % 4])) for i in range(4)
-            ]
-            if any(pair not in line_through for pair in side_pairs):
-                continue
-            diagonals = (frozenset((cycle[0], cycle[2])),
-                         frozenset((cycle[1], cycle[3])))
-            if any(d in line_through for d in diagonals):
-                continue
-            sides = tuple(line_through[pair] for pair in side_pairs)
-            thirds = tuple(
-                next(iter(c.lines[s] - pair))
-                for s, pair in zip(sides, side_pairs)
-            )
-            quads.append((cycle, thirds, sides))
-
-    out = []
-    for q1, q2 in itertools.permutations(quads, 2):
-        if (set(q1[1]) == set(q2[0]) and set(q2[1]) == set(q1[0])
-                and q1 not in out):
-            out.append(q1)
-    return out
-
-
 @functools.cache
 def mk_residue() -> Residue:
     """Moebius-Kantor residue: drop point 2i from line 2i, i = 0..3.

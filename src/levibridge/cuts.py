@@ -17,7 +17,8 @@ edge-disjoint sources have been processed, any cut still unseen has at least
 search, cached on the graph, gives the exact cyclic edge connectivity and a
 minimum cyclic cut, from which both answers are read. Above 40 vertices the
 essential check runs the loop from two edge-disjoint shortest cycles to
-every edge.
+every edge; it takes them from the graph layer's `shortest_cycle`, so the
+only search in this module is the flows' own.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import (Graph, GraphError, _neighbor_tuples, adjacency_masks, components,
-                     is_cubic)
+                     is_cubic, shortest_cycle)
 
+CYCLIC_MAX_VERTICES = 40  # the cyclic search's size limit (see cyclic_edge_connectivity)
 _CHORDLESS_CAP = 9  # see cyclic_edge_connectivity for why this is exhaustive
 
 
@@ -35,7 +37,6 @@ class CutCertificate:
     cut: tuple[tuple[int, int], ...]
     side_a: frozenset[int]
     side_b: frozenset[int]
-    kind: str  # always "cyclic" (see is_essentially_4_edge_connected)
 
 
 def _chordless_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
@@ -115,41 +116,6 @@ def _cycle_edges(cycle: tuple[int, ...]) -> frozenset[frozenset[int]]:
     return frozenset(frozenset(e) for e in zip(cycle, cycle[1:] + cycle[:1]))
 
 
-def _shortest_cycle(g: Graph, banned: frozenset[frozenset[int]]) -> tuple[int, ...] | None:
-    """A shortest cycle of g without the edges in `banned`, as its vertices in
-    cycle order; None when what is left is a forest.
-
-    Breadth-first search from every root, as in `girth`: a non-tree edge xy
-    closes a walk through the root of depth(x) + depth(y) + 1 edges, and the
-    tree paths from x and y to their lowest common ancestor close a cycle no
-    longer than that. Rooted on a shortest cycle, some non-tree edge gives
-    exactly its length, and every edge seen from depth d gives at least 2d.
-    """
-    nbrs = _neighbor_tuples(g)
-    best: tuple[int, ...] | None = None
-    for root in range(g.n):
-        parent, depth = {root: root}, {root: 0}
-        queue = [root]
-        for x in queue:
-            if best is not None and 2 * depth[x] >= len(best):
-                break
-            for y in nbrs[x]:
-                if y == parent[x] or (banned and frozenset((x, y)) in banned):
-                    continue
-                if y not in parent:
-                    parent[y], depth[y] = x, depth[x] + 1
-                    queue.append(y)
-                elif best is None or depth[x] + depth[y] + 1 < len(best):
-                    up_x, up_y = [x], [y]
-                    while up_x[-1] != up_y[-1]:
-                        if depth[up_x[-1]] >= depth[up_y[-1]]:
-                            up_x.append(parent[up_x[-1]])
-                        else:
-                            up_y.append(parent[up_y[-1]])
-                    best = tuple(up_x + up_y[-2::-1])
-    return best
-
-
 def _packed_search(g: Graph, cycles: list[tuple[int, ...]],
                    targets: list[frozenset[int]] | None,
                    best: int | None) -> tuple[int | None, frozenset[int] | None]:
@@ -209,13 +175,19 @@ def _small_cut_to_edges(g: Graph) -> tuple[int, frozenset[int] | None]:
     between the two is at most the cut. Conversely, a flow below 4 between a
     cycle and an edge separates two sets of at least 2 vertices. So the flows
     from two edge-disjoint cycles to every edge, starting from a best of 4,
-    find the minimum. Without the second cycle the graph is K4 or K3,3:
-    removing a shortest cycle of length L leaves 3n/2 - L edges, so a forest
-    remains only when the girth exceeds n/2, which by the Moore bound needs
-    n <= 6, too few vertices for two vertex-disjoint cycles.
+    find the minimum. The second cycle is a shortest one of what is left
+    once the first cycle's edges are cleared from the masks. Without it the
+    graph is K4 or K3,3: removing a shortest cycle of length L leaves
+    3n/2 - L edges, so a forest remains only when the girth exceeds n/2,
+    which by the Moore bound needs n <= 6, too few vertices for two
+    vertex-disjoint cycles.
     """
-    first = _shortest_cycle(g, frozenset())
-    second = _shortest_cycle(g, _cycle_edges(first))
+    cleared = list(adjacency_masks(g))
+    first = shortest_cycle(cleared)
+    for u, v in zip(first, first[1:] + first[:1]):
+        cleared[u] &= ~(1 << v)
+        cleared[v] &= ~(1 << u)
+    second = shortest_cycle(cleared)
     cycles = [first] if second is None else [first, second]
     return _packed_search(g, cycles, [frozenset(e) for e in g.edges], 4)
 
@@ -240,12 +212,12 @@ def is_essentially_4_edge_connected(g: Graph) -> tuple[bool, CutCertificate | No
         raise GraphError("essential 4-edge-connectivity needs a cubic graph")
     if len(components(adjacency_masks(g))) != 1:  # no vertices counts as disconnected
         raise GraphError("essential 4-edge-connectivity needs a connected graph")
-    best, side_a = _cyclic_cut(g) if g.n <= 40 else _small_cut_to_edges(g)
+    best, side_a = _cyclic_cut(g) if g.n <= CYCLIC_MAX_VERTICES else _small_cut_to_edges(g)
     if best is None or best >= 4:
         return True, None
     side_b = frozenset(range(g.n)) - side_a
     cut = tuple(e for e in g.edges if (e[0] in side_a) != (e[1] in side_a))
-    return False, CutCertificate(cut, side_a, side_b, "cyclic")
+    return False, CutCertificate(cut, side_a, side_b)
 
 
 def cyclic_edge_connectivity(g: Graph) -> int | None:
@@ -280,8 +252,9 @@ def cyclic_edge_connectivity(g: Graph) -> int | None:
     """
     if not is_cubic(g):
         raise GraphError("cyclic edge connectivity needs a cubic graph")
-    if g.n > 40:
-        raise GraphError("cyclic edge connectivity is implemented for at most 40 vertices")
+    if g.n > CYCLIC_MAX_VERTICES:
+        raise GraphError("cyclic edge connectivity is implemented for at most "
+                         f"{CYCLIC_MAX_VERTICES} vertices")
     if len(components(adjacency_masks(g))) != 1:
         raise GraphError("cyclic edge connectivity needs a connected graph")
     return _cyclic_cut(g)[0]

@@ -145,36 +145,55 @@ def bipartition(g: Graph) -> Bipartition | None:
     )
 
 
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle via BFS from every vertex; None if acyclic.
+def shortest_cycle(adj) -> tuple[int, ...] | None:
+    """A shortest cycle of the graph with neighbor bitmasks adj, as its
+    vertices in cycle order from a BFS root; None if acyclic.
 
     In the BFS layers around r, a layer-d vertex with two neighbors in layer
     d-1 closes a cycle of length at most 2d, and an edge inside layer d one
     of length at most 2d+1. Rooted on a shortest cycle, the first such layer
-    gives its exact length, so the minimum over all roots is exact.
+    gives its exact length, so the minimum over all roots is exact. The two
+    ends (the two lower neighbors, or the edge's endpoints) each walk down
+    the stored layers to the root. At a root that attains the minimum the
+    walks meet only at the root: had they met first at depth k > 0, they
+    would close a cycle 2k shorter than the minimum.
     """
-    adj = adjacency_masks(g)
+    def down(top, layers):  # top's highest vertex, then a neighbor in each layer below
+        path = [top.bit_length() - 1]
+        for layer in reversed(layers):
+            path.append((adj[path[-1]] & layer).bit_length() - 1)
+        return path
+
     best = None
-    for root in range(g.n):
-        prev = 0
+    for root in range(len(adj)):
+        layers: list[int] = []
         for d, layer in enumerate(bfs_layers(adj, root)):
-            if best is not None and 2 * d >= best:
+            if best is not None and 2 * d >= len(best):
                 break
-            cand = None
+            prev = layers[-1] if layers else 0
+            ends = None
             m = layer
             while m:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
-                if (adj[v] & prev).bit_count() > 1:
-                    cand = 2 * d
+                lower = adj[v] & prev
+                if lower.bit_count() > 1:
+                    ends = lower & -lower, [v], lower, layers[:-1]
                     break
-                if adj[v] & layer:
-                    cand = 2 * d + 1
-            if cand is not None:
-                best = cand
+                if ends is None and adj[v] & layer:
+                    ends = 1 << v, [], adj[v] & layer, layers
+            if ends is not None:
+                x, middle, y, below = ends
+                best = tuple(down(x, below)[::-1] + middle + down(y, below)[:-1])
                 break
-            prev = layer
+            layers.append(layer)
     return best
+
+
+def girth(g: Graph) -> int | None:
+    """Length of a shortest cycle (see `shortest_cycle`); None if acyclic."""
+    found = shortest_cycle(adjacency_masks(g))
+    return None if found is None else len(found)
 
 
 # -- constructors ------------------------------------------------------------

@@ -111,6 +111,7 @@ def is_self_dual(c: Configuration) -> bool:
 
 
 def automorphism_order(c: Configuration) -> int:
-    """Order of the incidence-preserving point-to-point symmetry group."""
+    """Order of the incidence-preserving point-to-point symmetry group;
+    kept public because the tests pin |Coll| = 168, 48 and 72 with it."""
     g, _ = levi_graph(c)
     return automorphism_group(g, _levi_cells(c)).order

@@ -34,6 +34,7 @@ from levibridge.graphs import (
     parse_lcf,
     petersen,
     prism,
+    shortest_cycle,
 )
 
 
@@ -177,6 +178,20 @@ class TestGirth:
         for _ in range(80):
             g = _random_graph(rng, rng.randint(3, 14))
             assert girth(g) == _girth_oracle(g)
+            # A genuine shortest cycle, then one of what is left without its
+            # edges: the second source of the cut layer's edge route.
+            adj = list(adjacency_masks(g))
+            for _ in range(2):
+                found = shortest_cycle(adj)
+                edges = [(u, v) for u in range(g.n) for v in range(u) if adj[u] >> v & 1]
+                if found is None:
+                    assert _girth_oracle(build(g.n, edges)) is None
+                    break
+                assert len(set(found)) == len(found) == _girth_oracle(build(g.n, edges))
+                for u, v in zip(found, found[1:] + found[:1]):
+                    assert adj[u] >> v & 1
+                    adj[u] &= ~(1 << v)
+                    adj[v] &= ~(1 << u)
             bipartite += _check_bipartition(g)
             for root in range(g.n):
                 dist = {}
