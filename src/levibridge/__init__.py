@@ -62,11 +62,9 @@ from .groups import (
     is_abelian,
     is_normal,
     is_subgroup,
-    orbit,
     order_profile,
     perm_order,
     semidirect_certificate,
-    stabilizer,
 )
 from .incidence import (
     Configuration,

@@ -29,7 +29,7 @@ import functools
 from dataclasses import dataclass, field
 
 from .graphs import Graph, GraphError, adjacency_masks, build, graph6_encode
-from .groups import PermGroup, _image, _orbit
+from .groups import PermGroup, _orbit
 
 
 @dataclass(frozen=True)
@@ -209,11 +209,11 @@ class _Search:
             if seen != len(autos):  # a child found automorphisms: orbits may merge
                 seen = len(autos)
                 fixing = [p for p in autos if all(p[x] == x for x in prefix)]
-                covered = _orbit(tried, fixing, _image)
+                covered = _orbit(tried, fixing, lambda x, p: p[x])
             if v in covered:
                 continue
             tried.append(v)
-            covered |= _orbit((v,), fixing, _image)
+            covered |= _orbit((v,), fixing, lambda x, p: p[x])
             rest = tuple(u for u in cell if u != v)
             child = list(cells)
             child[target:target + 1] = [(v,), rest]

@@ -19,25 +19,15 @@ from .construction import (
     goedgebeur_configuration,
     goedgebeur_graph,
 )
-from .cuts import (
-    CYCLIC_MAX_VERTICES,
-    cyclic_edge_connectivity,
-    is_essentially_4_edge_connected,
-)
 from .graphs import (
     Graph,
     Graph6Error,
     GraphError,
     _g6_bytes_for_n,
-    adjacency_masks,
-    bipartition,
-    components,
-    girth,
     gp,
     graph6_decode,
     graph6_encode,
     heawood,
-    is_cubic,
     k33,
     pappus,
 )
@@ -51,7 +41,7 @@ from .incidence import (
     levi_graph,
     moebius_kantor,
 )
-from .survey import aut_structure, refutation_check, run_survey, survey_json
+from .survey import aut_structure, graph_properties, refutation_check, run_survey, survey_json
 from .twofactors import pseudo_2fi
 
 
@@ -115,22 +105,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_props(args) -> int:
     for g in _read_graphs(args.file):
-        cubic = is_cubic(g)
-        ess4 = cyc = None
-        if cubic and len(components(adjacency_masks(g))) == 1:
-            ess4, _ = is_essentially_4_edge_connected(g)
-            if g.n <= CYCLIC_MAX_VERTICES:
-                cyc = cyclic_edge_connectivity(g)
-        print(json.dumps({
-            "vertices": g.n,
-            "edges": len(g.edges),
-            "cubic": cubic,
-            "bipartite": bipartition(g) is not None,
-            "girth": girth(g),
-            "essentially_4_edge_connected": ess4,
-            "cyclic_edge_connectivity": cyc,
-            "aut_order": automorphism_group(g).order,
-        }))
+        print(json.dumps({**graph_properties(g), "aut_order": automorphism_group(g).order}))
     return 0
 
 

@@ -236,7 +236,8 @@ def lcf(jumps, repeats: int) -> Graph:
     return g
 
 
-_LCF_RE = re.compile(r"^\[([0-9,\s+-]+)\]\^(\d+)$")
+_LCF_JUMP = r"\s*[+-]?[0-9]+\s*"
+_LCF_RE = re.compile(rf"^\[({_LCF_JUMP}(?:,{_LCF_JUMP})*)\]\^(\d+)$")
 
 
 def parse_lcf(text: str) -> Graph:

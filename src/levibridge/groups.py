@@ -5,7 +5,8 @@ A group is its stabilizer chain (Schreier-Sims), which answers order,
 membership, subgroup and normality questions; a group given as an element
 set is the group those elements generate. `closure` only lists elements,
 for the structure tests that need them at orders in the hundreds; it, the
-orbits and the isomorphism check all close through `_orbit`.
+canonical search's orbit pruning and the isomorphism check all close
+through `_orbit`.
 """
 
 from __future__ import annotations
@@ -193,25 +194,6 @@ def is_normal(sub: PermGroup, group: PermGroup) -> bool:
         compose(g, compose(x, inverse(g))) in sub
         for g in group.generators for x in sub.generators
     )
-
-
-def _image(obj, p: Perm):
-    if isinstance(obj, int):
-        return p[obj]
-    return frozenset(p[x] for x in obj)
-
-
-def orbit(group: PermGroup, obj) -> frozenset:
-    """Orbit of a point (int) or a setwise-moved frozenset of points."""
-    key = obj if isinstance(obj, int) else frozenset(obj)
-    return frozenset(_orbit([key], group.generators, _image))
-
-
-def stabilizer(group: PermGroup, obj) -> PermGroup:
-    """Elements fixing a point, or fixing a vertex set setwise."""
-    key = obj if isinstance(obj, int) else frozenset(obj)
-    elems = (p for p in group.elements if _image(key, p) == key)
-    return PermGroup(group.degree, elems)
 
 
 def order_profile(group: PermGroup) -> dict[int, int]:

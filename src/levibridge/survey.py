@@ -16,8 +16,10 @@ from .construction import (
     identify_goedgebeur,
     marked_edges,
 )
-from .cuts import cyclic_edge_connectivity, is_essentially_4_edge_connected
-from .graphs import Graph, bipartition, girth, heawood, is_cubic, k33, pappus
+from .cuts import (CYCLIC_MAX_VERTICES, cyclic_edge_connectivity,
+                   is_essentially_4_edge_connected)
+from .graphs import (Graph, adjacency_masks, bipartition, components, girth, heawood,
+                     is_cubic, k33, pappus)
 from .groups import (
     PermGroup,
     compose,
@@ -29,10 +31,8 @@ from .groups import (
     inverse,
     is_abelian,
     order_profile,
-    orbit,
     perm_order,
     semidirect_certificate,
-    stabilizer,
     z3z3,
 )
 from .twofactors import MIXED, NO_TWO_FACTOR, pseudo_2fi
@@ -124,20 +124,21 @@ def aut_structure(g: Graph | None = None) -> dict:
     if g is None:
         g = goedgebeur_graph()
     marked, aut = _marked_edges_on(g)
-    e_edge = marked[0]
 
+    # How each element permutes the nine marked edges; edge_action raises
+    # GroupError on an element that moves a marked edge off the set.
     projections = {p: edge_action(p, tuple(marked)) for p in aut.elements}
 
     k_elements = frozenset(
         p for p in aut.elements if perm_order(p) in (1, 3, 9)
     )
     K = PermGroup(aut.degree, k_elements)
-    stabs = [stabilizer(aut, frozenset(x)) for x in marked]
+    stabs = [
+        PermGroup(aut.degree, (p for p, proj in projections.items() if proj[i] == i))
+        for i in range(9)
+    ]
     H = stabs[0]  # marked[0] is e
     sd_ok, sd_report = semidirect_certificate(aut, K, H)
-
-    marked_sets = {frozenset(x) for x in marked}
-    k_orbit = orbit(K, frozenset(e_edge))
 
     sigma_two_m = sigma_two_f = rho = delta = False
     for proj in projections.values():
@@ -166,33 +167,29 @@ def aut_structure(g: Graph | None = None) -> dict:
         and all(p[v] not in side_a for v in side_a)
     )
 
+    # The elements sending e to edge i form one coset pH, and Stab(pe) =
+    # pHp^-1 for each of them, so one element per target decides.
     conjugate = True
-    for target_edge, target_stab in zip(marked[1:], stabs[1:]):
-        moved = False
-        for p in aut.elements:
-            if frozenset(p[v] for v in e_edge) == frozenset(target_edge):
-                conj = frozenset(
-                    compose(compose(p, q), inverse(p)) for q in H.elements
-                )
-                moved = conj == target_stab.elements
-                if moved:
-                    break
-        conjugate &= moved
+    for i in range(1, 9):
+        p = next((p for p, proj in projections.items() if proj[0] == i), None)
+        conjugate &= p is not None and frozenset(
+            compose(compose(p, q), inverse(p)) for q in H.elements
+        ) == stabs[i].elements
 
     report = {
         "aut_order": aut.order,
         "marked_edges": [list(x) for x in marked],
-        "marked_set_invariant": all(
-            {frozenset((p[u], p[v])) for u, v in marked} == marked_sets
-            for p in aut.elements
-        ),
+        # edge_action enforces it: every element has its row in the table
+        "marked_set_invariant": len(projections) == aut.order,
         "k_order": K.order,
         "k_is_subgroup": sd_report["k_is_subgroup"],
         "k_normal": sd_report["k_normal"],
         "k_profile": order_profile(K),
         "k_abelian": is_abelian(K),
         "k_iso_z3xz3": groups_isomorphic(K, z3z3()),
-        "k_regular_on_marked": k_orbit == marked_sets and K.order == 9,
+        "k_regular_on_marked": (
+            {projections[p][0] for p in K.elements} == set(range(9)) and K.order == 9
+        ),
         "h_order": H.order,
         "h_abelian": is_abelian(H),
         "h_profile": order_profile(H),
@@ -230,13 +227,35 @@ def aut_structure(g: Graph | None = None) -> dict:
     return report
 
 
+def graph_properties(g: Graph) -> dict:
+    """The property battery that `props` and `refutation_check` share.
+
+    The two cut values are None unless g is cubic and connected, and the
+    cyclic one also above CYCLIC_MAX_VERTICES, where its search refuses.
+    """
+    cubic = is_cubic(g)
+    ess4 = cyc = None
+    if cubic and len(components(adjacency_masks(g))) == 1:
+        ess4, _ = is_essentially_4_edge_connected(g)
+        if g.n <= CYCLIC_MAX_VERTICES:
+            cyc = cyclic_edge_connectivity(g)
+    return {
+        "vertices": g.n,
+        "edges": len(g.edges),
+        "cubic": cubic,
+        "bipartite": bipartition(g) is not None,
+        "girth": girth(g),
+        "essentially_4_edge_connected": ess4,
+        "cyclic_edge_connectivity": cyc,
+    }
+
+
 def refutation_check() -> dict:
     """End-to-end check that the identified graph defeats the parity
     conjecture for essentially 4-edge-connected cubic bipartite graphs:
     it has all the hypotheses yet is none of the three known graphs.
     """
     _, g = identify_goedgebeur()
-    ess4, _ = is_essentially_4_edge_connected(g)
     parity = pseudo_2fi(g)
     others = {
         "k33": k33(),
@@ -244,13 +263,7 @@ def refutation_check() -> dict:
         "pappus": pappus(),
     }
     report = {
-        "vertices": g.n,
-        "edges": len(g.edges),
-        "cubic": is_cubic(g),
-        "bipartite": bipartition(g) is not None,
-        "girth": girth(g),
-        "essentially_4_edge_connected": ess4,
-        "cyclic_edge_connectivity": cyclic_edge_connectivity(g),
+        **graph_properties(g),
         "matching_count": parity.matching_count,
         "p2fi_status": parity.status,
         "distinct_from": {

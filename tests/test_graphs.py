@@ -212,6 +212,7 @@ class TestGirth:
 class TestGenerators:
     def test_lcf_heawood_definition(self):
         assert heawood() == parse_lcf("[5,-5]^7")
+        assert heawood() == parse_lcf(" [ +5 , -5 ]^7 ")
         assert heawood() == lcf([5, -5], 7)
 
     def test_gp_examples(self):
@@ -238,6 +239,12 @@ class TestGenerators:
             lcf([1, 1, 1, 1], 1)  # jump 1 collides with rim edges
         with pytest.raises(GraphError):
             lcf([5, -5], 3)  # odd vertex count
+
+    @pytest.mark.parametrize("text", ["[5,,-5]^7", "[5 5]^7", "[+]^3", "[-]^2", "[5,-5,]^7"])
+    def test_parse_lcf_rejects_malformed_jump_lists(self, text):
+        # A malformed jump list is a GraphError, never int()'s bare ValueError.
+        with pytest.raises(GraphError, match="cannot parse LCF spec"):
+            parse_lcf(text)
 
     def test_bipartition(self):
         sides = bipartition(k33())

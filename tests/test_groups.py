@@ -35,11 +35,9 @@ from levibridge.groups import (
     is_abelian,
     is_normal,
     is_subgroup,
-    orbit,
     order_profile,
     perm_order,
     semidirect_certificate,
-    stabilizer,
     z3z3,
 )
 
@@ -223,7 +221,8 @@ class TestChainAnswersMatchSympy:
         assert is_subgroup(sub, group) == ss.is_subgroup(sg)
         if ss.is_subgroup(sg):
             assert is_normal(sub, group) == ss.is_normal(sg, strict=False)
-        assert stabilizer(group, point).order == sg.stabilizer(point).order()
+        stab = PermGroup(degree, (p for p in group.elements if p[point] == point))
+        assert stab.order == sg.stabilizer(point).order()
         # An element set need not be closed; the group built from it is the
         # one it generates.
         from_set = PermGroup(degree, sub_gens)
@@ -242,11 +241,10 @@ def _orbit_cases(draw):
 class TestOrbitRoutine:
     @settings(max_examples=300, deadline=None)
     @given(_orbit_cases())
-    def test_union_of_seed_orbits_matches_orbit_and_sympy(self, case):
+    def test_union_of_seed_orbits_matches_sympy(self, case):
         degree, gens, seeds = case
         union = _orbit(seeds, gens, lambda x, p: p[x])
-        group, sg = PermGroup(degree, gens), _sympy_perms(degree, gens)
-        assert union == set().union(*(orbit(group, s) for s in seeds))
+        sg = _sympy_perms(degree, gens)
         assert union == set().union(*(sg.orbit(s) for s in seeds))
 
     def test_extends_to_isomorphism(self):
@@ -282,20 +280,15 @@ class TestGroupIsomorphism:
 
 
 class TestActions:
-    def test_orbit_and_stabilizer_sizes(self):
-        g = dihedral(4)
-        assert len(orbit(g, 0)) == 4
-        assert stabilizer(g, 0).order == 2
-        assert len(orbit(g, frozenset({0, 1}))) == 4
-
     def test_orbit_stabilizer_theorem(self):
         rng = random.Random(11)
         for _ in range(10):
             gens = [tuple(rng.sample(range(6), 6)) for _ in range(2)]
             g = PermGroup(6, gens)
             for point in range(6):
-                assert len(orbit(g, point)) * stabilizer(g, point).order \
-                    == g.order
+                orbit = _orbit([point], gens, lambda x, p: p[x])
+                stab = PermGroup(6, (p for p in g.elements if p[point] == point))
+                assert len(orbit) * stab.order == g.order
 
     def test_edge_action_is_homomorphism(self):
         edges = ((0, 1), (1, 2), (2, 3), (3, 0))

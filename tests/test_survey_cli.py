@@ -4,6 +4,7 @@ CLI tests run the installed console script in a subprocess so argument
 parsing, exit codes, and stream handling are exercised end to end.
 """
 
+import ast
 import itertools
 import json
 import subprocess
@@ -15,7 +16,15 @@ import pytest
 from levibridge import canon, survey
 from levibridge.canon import canonical_form
 from levibridge.construction import bridge_census, bridge_graph, goedgebeur_graph
-from levibridge.groups import PermGroup, dihedral, groups_isomorphic
+from levibridge.groups import (
+    PermGroup,
+    compose,
+    dihedral,
+    edge_action,
+    groups_isomorphic,
+    inverse,
+    perm_order,
+)
 from levibridge.graphs import build, graph6_encode, heawood, k33, petersen
 from levibridge.survey import (
     StructureError,
@@ -126,6 +135,118 @@ class TestAutStructure:
     def test_rejects_foreign_graph(self):
         with pytest.raises(StructureError):
             aut_structure(heawood())
+
+
+def _relabelled_goedgebeur():
+    g = goedgebeur_graph()
+    return build(g.n, [(29 - u, 29 - v) for u, v in g.edges])
+
+
+def _setwise_stabilizer(group, vertices):
+    """Oracle: scan every element for the ones mapping the vertex set onto
+    itself, as the structure report did before it read its edge table."""
+    key = frozenset(vertices)
+    return PermGroup(group.degree,
+                     (p for p in group.elements if frozenset(p[v] for v in key) == key))
+
+
+# The report's boolean checks; each must read True for all_ok.
+_FLAGS = ("marked_set_invariant", "k_normal", "k_iso_z3xz3", "k_regular_on_marked",
+          "h_iso_d4xz2", "semidirect", "sigma_two_m", "sigma_two_f", "rho", "delta",
+          "stabilizers_conjugate")
+
+
+def _failed_flags(exc: StructureError) -> set[str]:
+    report = ast.literal_eval(str(exc).removeprefix("structure analysis failed: "))
+    return {flag for flag in _FLAGS if not report[flag]}
+
+
+def _patch_rows(monkeypatch, corrupt):
+    """Route survey.edge_action's rows through corrupt(p, row, real), in the
+    order the report builds its table; real(q) is q's true row."""
+    real = survey.edge_action
+
+    def patched(p, edges):
+        return tuple(corrupt(p, list(real(p, edges)), lambda q: real(q, edges)))
+
+    monkeypatch.setattr(survey, "edge_action", patched)
+
+
+class TestMarkedEdgeTable:
+    @pytest.mark.parametrize("make", [goedgebeur_graph, _relabelled_goedgebeur],
+                             ids=["identified", "relabelled"])
+    def test_table_fixers_and_cosets_match_the_scanned_stabilizers(self, make):
+        g = make()
+        marked, aut = survey._marked_edges_on(g)
+        table = {p: edge_action(p, tuple(marked)) for p in aut.elements}
+        stabs = [_setwise_stabilizer(aut, x) for x in marked]
+        for i, stab in enumerate(stabs):
+            assert stab.elements == {p for p, row in table.items() if row[i] == i}
+        # The nine stabilizers are distinct, so conjugating by an element of
+        # the wrong coset cannot pass; and every element of the coset sending
+        # e to edge i conjugates H onto that edge's stabilizer.
+        assert len({s.elements for s in stabs}) == 9
+        h = stabs[0]
+        for p, row in table.items():
+            conj = {compose(compose(p, q), inverse(p)) for q in h.elements}
+            assert conj == stabs[row[0]].elements
+        report = aut_structure(g)
+        assert report["all_ok"]
+        assert report["stabilizer_orders"] == [s.order for s in stabs] == [16] * 9
+
+    def test_a_row_off_its_coset_fails_the_conjugacy_check(self, monkeypatch):
+        # The first element outside K that moves e keeps its fixed points,
+        # so every stabilizer stays, but claims a target no earlier row
+        # reached: it becomes that target's consulted element.
+        hit, corrupted = set(), []
+
+        def corrupt(p, row, real):
+            if not corrupted and row[0] != 0 and perm_order(p) not in (1, 3, 9):
+                t = row[0]
+                k = next(k for k in range(1, 9)
+                         if k != t and row[k] not in (0, k) and row[k] not in hit)
+                row[0], row[k] = row[k], t
+                corrupted.append(p)
+            hit.add(row[0])
+            return row
+
+        _patch_rows(monkeypatch, corrupt)
+        with pytest.raises(StructureError) as info:
+            aut_structure()
+        assert corrupted
+        assert _failed_flags(info.value) == {"stabilizers_conjugate"}
+
+    def test_a_k_row_repeating_a_target_fails_regularity(self, monkeypatch):
+        # Every element of order 3 lies in the normal Sylow subgroup K. The
+        # first one reports its inverse's row: K then misses one edge.
+        swapped = []
+
+        def corrupt(p, row, real):
+            if not swapped and perm_order(p) == 3:
+                swapped.append(p)
+                return real(inverse(p))
+            return row
+
+        _patch_rows(monkeypatch, corrupt)
+        with pytest.raises(StructureError) as info:
+            aut_structure()
+        assert swapped
+        assert _failed_flags(info.value) == {"k_regular_on_marked"}
+
+    def test_a_target_no_row_reaches_is_not_conjugate(self, monkeypatch):
+        # Rows sending e to the last marked edge claim to fix e instead, so
+        # no element is found for that target; the check reads False and
+        # raises no StopIteration.
+        def corrupt(p, row, real):
+            if row[0] == 8:
+                k = row.index(0)
+                row[0], row[k] = 0, 8
+            return row
+
+        _patch_rows(monkeypatch, corrupt)
+        with pytest.raises(StructureError) as info:
+            aut_structure()
+        assert {"k_regular_on_marked", "stabilizers_conjugate"} <= _failed_flags(info.value)
 
 
 class TestRefutation:
