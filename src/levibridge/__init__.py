@@ -78,7 +78,6 @@ from .incidence import (
     moebius_kantor,
 )
 from .survey import (
-    SurveyRow,
     aut_structure,
     refutation_check,
     run_survey,

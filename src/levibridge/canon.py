@@ -242,9 +242,6 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
     respect; canonical positions then stay grouped by color.
     """
     cells = _normalize_cells(g, cells)
-    if g.n == 0:
-        empty = build(0, [])
-        return CanonicalForm(empty, graph6_encode(empty), (), (), ())
     search = _Search(g, cells)
     lab = search.best[2]
     pos = [0] * g.n

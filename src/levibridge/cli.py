@@ -131,9 +131,13 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_iso(args) -> int:
-    g = _read_graphs(args.file1)[0]
-    h = _read_graphs(args.file2)[0]
-    phi = isomorphism(g, h)
+    pair = []
+    for path in (args.file1, args.file2):
+        graphs = _read_graphs(path)
+        if len(graphs) != 1:
+            raise ValueError(f"iso compares one graph per file; {path} holds {len(graphs)}")
+        pair.append(graphs[0])
+    phi = isomorphism(*pair)
     print(json.dumps({
         "isomorphic": phi is not None,
         "mapping": list(phi) if phi is not None else None,
@@ -160,8 +164,7 @@ def _cmd_config(args) -> int:
         args.parser.error("--labels needs --levi")
     c = _CONFIGS[args.name]()
     if args.levi:
-        g, _ = levi_graph(c)
-        _emit_graph(g, args.labels)
+        _emit_graph(levi_graph(c), args.labels)
     elif args.dual:
         print(_config_json(dual(c)))
     elif args.self_dual:

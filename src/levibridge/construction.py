@@ -17,11 +17,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .canon import CanonicalForm, automorphism_group, canonical_form
+from .canon import CanonicalForm, _mask, automorphism_group, canonical_form
 from .graphs import (
     Graph,
     adjacency_masks,
-    bfs_layers,
     bipartition,
     build,
     girth,
@@ -227,7 +226,7 @@ def bridge_join(
         raise BridgeError(f"invalid bridge {spec}: {exc}",
                           violating_pair=exc.pair) from exc
 
-    g, _ = levi_graph(config)
+    g = levi_graph(config)
     if not (g.n == 30 and len(g.edges) == 45 and is_cubic(g)):
         raise StructureError(f"join {spec} is not a cubic graph on 30 vertices")
     if bipartition(g) is None:
@@ -420,78 +419,53 @@ class MarkedEdges:
         return (self.e,) + self.f + self.m
 
 
-def _distance_matrix(g: Graph) -> list[list[int]]:
-    adj = adjacency_masks(g)
-    dist = []
-    for start in range(g.n):
-        row = [-1] * g.n
-        for d, layer in enumerate(bfs_layers(adj, start)):
-            for v in range(g.n):
-                if layer >> v & 1:
-                    row[v] = d
-        dist.append(row)
-    return dist
-
-
-def _edge_vertex_distance(dist, edge, v) -> int:
-    return min(dist[edge[0]][v], dist[edge[1]][v])
-
-
-def _edge_edge_distance(dist, e1, e2) -> int:
-    return min(dist[a][b] for a in e1 for b in e2)
-
-
 def marked_edges(g: Graph) -> MarkedEdges:
     """Recover the distinguished edge set of a joined Levi graph.
 
     The graph must carry the origin labels produced by bridge_join. Raises
-    StructureError when any uniqueness or count assertion fails.
+    StructureError when any uniqueness or count assertion fails. Works on
+    vertex bitmasks: an edge's radius-1 ball is the union of its endpoints'
+    neighbour masks, and its radius-2 ball holds the neighbours of that.
     """
     if g.labels is None or len(g.labels) != g.n:
         raise StructureError("marked_edges needs the origin labels of a join")
-    first_points = {v for v in range(g.n) if g.labels[v].startswith("fp")}
-    first_lines = {v for v in range(g.n) if g.labels[v].startswith("fl")}
-    second_points = {v for v in range(g.n) if g.labels[v].startswith("mp")}
-    second_lines = {v for v in range(g.n) if g.labels[v].startswith("ml")}
-    if not (first_points and first_lines and second_points and second_lines):
+    kinds = dict.fromkeys(("fp", "fl", "mp", "ml"), 0)
+    for v, label in g.labels.items():
+        if label[:2] in kinds:
+            kinds[label[:2]] |= 1 << v
+    first_points, first_lines, second_points, second_lines = kinds.values()
+    if not all(kinds.values()):
         raise StructureError("marked_edges needs the origin labels of a join")
-    first = first_points | first_lines
-    second = second_points | second_lines
+    first, second = first_points | first_lines, second_points | second_lines
+    adj = adjacency_masks(g)
 
-    bridge_edges = [
-        (u, v) for u, v in g.edges if (u in first) != (v in first)
-    ]
+    bridge_edges = [(u, v) for u, v in g.edges if (first >> u ^ first >> v) & 1]
     if len(bridge_edges) != 8:
         raise StructureError(f"expected 8 bridge edges, found {len(bridge_edges)}")
 
-    open_first_points = sorted(
-        u for u in first_points
-        if any(v in second_lines for v in g.neighbors(u))
-    )
-    open_first_lines = sorted(
-        u for u in first_lines
-        if any(v in second_points for v in g.neighbors(u))
-    )
-    if len(open_first_points) != 4 or len(open_first_lines) != 4:
+    open_points = [u for u in range(g.n)
+                   if first_points >> u & 1 and adj[u] & second_lines]
+    open_lines = _mask(u for u in range(g.n)
+                       if first_lines >> u & 1 and adj[u] & second_points)
+    if len(open_points) != 4 or open_lines.bit_count() != 4:
         raise StructureError("expected four open points and four open lines")
-    special = open_first_points + open_first_lines
+    quad = _mask(open_points) | open_lines
 
-    dist = _distance_matrix(g)
+    def ball2(u, v):
+        return _mask(x for w in g.neighbors(u) + g.neighbors(v) for x in g.neighbors(w))
 
-    e_candidates = [
-        edge for edge in g.edges
-        if all(_edge_vertex_distance(dist, edge, v) == 2 for v in special)
-    ]
+    # the unique edge at distance 2 from all eight quadrilateral vertices
+    e_candidates = [(u, v) for u, v in g.edges
+                    if not (adj[u] | adj[v]) & quad and ball2(u, v) & quad == quad]
     if len(e_candidates) != 1:
         raise StructureError(
             f"expected a unique edge at distance 2 from the quadrilateral, "
             f"found {len(e_candidates)}"
         )
-    e = e_candidates[0]
 
     f_edges = []
-    for p in open_first_points:
-        partners = [v for v in g.neighbors(p) if v in set(open_first_lines)]
+    for p in open_points:
+        partners = [v for v in g.neighbors(p) if open_lines >> v & 1]
         if len(partners) != 1:
             raise StructureError(
                 f"open point {p} should keep exactly one open line, "
@@ -499,21 +473,17 @@ def marked_edges(g: Graph) -> MarkedEdges:
             )
         f_edges.append((p, partners[0]) if p < partners[0] else (partners[0], p))
 
-    # Edge-to-edge distance counts the edges of a connecting path (adjacent
-    # edges are at distance 1), so distance 2 from the bridge set means:
-    # no shared vertex with any bridge edge, but some endpoint adjacent to
-    # a bridge endpoint.
-    m_edges = [
-        edge for edge in g.edges
-        if edge[0] in second and edge[1] in second
-        and min(_edge_edge_distance(dist, edge, b) for b in bridge_edges) == 1
-    ]
+    # Edge-to-edge distance counts the edges of a connecting path, so
+    # distance 2 from the bridge set means: no bridge endpoint, but a
+    # neighbour among the bridge endpoints.
+    ends = _mask(v for edge in bridge_edges for v in edge)
+    m_edges = [(u, v) for u, v in g.edges if (both := 1 << u | 1 << v) & second == both
+               and not both & ends and (adj[u] | adj[v]) & ends]
     if len(m_edges) != 4:
         raise StructureError(
             f"expected 4 edges at distance 2 from the eight-bridge, "
             f"found {len(m_edges)}"
         )
-    touched = [v for edge in m_edges for v in edge]
-    if len(set(touched)) != 8:
+    if _mask(v for edge in m_edges for v in edge).bit_count() != 8:
         raise StructureError("the four distinguished second-residue edges intersect")
-    return MarkedEdges(e=e, f=tuple(f_edges), m=tuple(sorted(m_edges)))
+    return MarkedEdges(e=e_candidates[0], f=tuple(f_edges), m=tuple(sorted(m_edges)))

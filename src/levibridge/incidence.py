@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .canon import automorphism_group, isomorphism
-from .graphs import Bipartition, Graph, build
+from .graphs import Graph, build
 
 
 class ConfigurationError(ValueError):
@@ -77,7 +77,7 @@ def moebius_kantor() -> Configuration:
     return configuration(8, lines)
 
 
-def levi_graph(c: Configuration) -> tuple[Graph, Bipartition]:
+def levi_graph(c: Configuration) -> Graph:
     """Bipartite incidence graph: point p -> vertex p, line j -> n_points + j."""
     n = c.n_points + len(c.lines)
     edges = [(p, c.n_points + j) for j, ln in enumerate(c.lines) for p in ln]
@@ -86,10 +86,7 @@ def levi_graph(c: Configuration) -> tuple[Graph, Bipartition]:
         labels[p] = c.point_labels[p] if c.point_labels else f"p{p}"
     for j in range(len(c.lines)):
         labels[c.n_points + j] = c.line_labels[j] if c.line_labels else f"l{j}"
-    g = build(n, edges, labels)
-    return g, Bipartition(
-        frozenset(range(c.n_points)), frozenset(range(c.n_points, n))
-    )
+    return build(n, edges, labels)
 
 
 def dual(c: Configuration) -> Configuration:
@@ -105,13 +102,11 @@ def _levi_cells(c: Configuration):
 
 def is_self_dual(c: Configuration) -> bool:
     """Configuration isomorphism with the dual, via side-respecting Levi maps."""
-    g, _ = levi_graph(c)
-    h, _ = levi_graph(dual(c))
-    return isomorphism(g, h, _levi_cells(c), _levi_cells(dual(c))) is not None
+    d = dual(c)
+    return isomorphism(levi_graph(c), levi_graph(d), _levi_cells(c), _levi_cells(d)) is not None
 
 
 def automorphism_order(c: Configuration) -> int:
     """Order of the incidence-preserving point-to-point symmetry group;
     kept public because the tests pin |Coll| = 168, 48 and 72 with it."""
-    g, _ = levi_graph(c)
-    return automorphism_group(g, _levi_cells(c)).order
+    return automorphism_group(levi_graph(c), _levi_cells(c)).order

@@ -5,7 +5,6 @@ and the parity refutation report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .canon import _labelling_map, automorphism_group, canonical_form, isomorphism
 from .construction import (
@@ -38,57 +37,42 @@ from .groups import (
 from .twofactors import MIXED, NO_TWO_FACTOR, pseudo_2fi
 
 
-@dataclass(frozen=True)
-class SurveyRow:
-    class_id: int
-    size: int
-    aut_order: int
-    representative: str  # graph6 certificate of the class
-    diagonal: bool  # does any member have alpha == beta?
-    p2fi_status: str | None = None
-
-
-def run_survey(p2fi: bool = False) -> tuple[SurveyRow, ...]:
-    """Classify all 576 joins; rows ordered by descending automorphism
-    order, then ascending class size, then certificate."""
-    rows = []
+def run_survey(p2fi: bool = False) -> list[dict]:
+    """Classify all 576 joins into the rows that survey_json prints,
+    ordered by descending automorphism order, then ascending class size,
+    then certificate; a row has `p2fi_status` only when p2fi is set."""
     census = bridge_census()
     if sum(len(c.specs) for c in census) != 576:
         raise StructureError("census does not cover all 576 specs")
+    rows = []
     for i, cls in enumerate(census):
-        status = None
+        row = {
+            "class_id": i,
+            "size": len(cls.specs),
+            "aut_order": cls.aut_order,
+            "representative": cls.certificate.decode("ascii"),
+            "diagonal": any(s.alpha == s.beta for s in cls.specs),
+        }
         if p2fi:
-            status = pseudo_2fi(bridge_graph(cls.representative)).status
-        rows.append(
-            SurveyRow(
-                class_id=i,
-                size=len(cls.specs),
-                aut_order=cls.aut_order,
-                representative=cls.certificate.decode("ascii"),
-                diagonal=any(s.alpha == s.beta for s in cls.specs),
-                p2fi_status=status,
-            )
-        )
-    return tuple(rows)
+            row["p2fi_status"] = pseudo_2fi(bridge_graph(cls.representative)).status
+        rows.append(row)
+    return rows
 
 
-def survey_json(rows: tuple[SurveyRow, ...]) -> str:
+def survey_json(rows: list[dict]) -> str:
     """Deterministic JSON rendering of the survey (byte-identical runs)."""
-    payload = {
-        "schema": 1,
-        "rows": [
-            {
-                "class_id": r.class_id,
-                "size": r.size,
-                "aut_order": r.aut_order,
-                "representative": r.representative,
-                "diagonal": r.diagonal,
-                **({"p2fi_status": r.p2fi_status} if r.p2fi_status else {}),
-            }
-            for r in rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps({"schema": 1, "rows": rows}, indent=2) + "\n"
+
+
+def _settle(report: dict, checks: dict, flag: str, what: str) -> dict:
+    """Set report[flag] to whether every check holds; otherwise raise,
+    naming each failed check with the report's value under its key."""
+    failed = [key for key, holds in checks.items() if not holds]
+    report[flag] = not failed
+    if failed:
+        raise StructureError(
+            f"{what} failed: " + ", ".join(f"{k} = {report[k]!r}" for k in failed))
+    return report
 
 
 # -- automorphism-group structure of the identified graph --------------------
@@ -204,27 +188,23 @@ def aut_structure(g: Graph | None = None) -> dict:
         "stabilizer_orders": [s.order for s in stabs],
         "stabilizers_conjugate": conjugate,
     }
-    checks = (
-        report["marked_set_invariant"],
-        report["k_order"] == 9,
-        report["k_normal"],
-        report["k_iso_z3xz3"],
-        report["k_regular_on_marked"],
-        report["h_order"] == 16,
-        not report["h_abelian"],
-        report["h_iso_d4xz2"],
-        report["semidirect"],
-        report["sigma_two_m"],
-        report["sigma_two_f"],
-        report["rho"],
-        report["delta"],
-        report["tau_count"] >= 1,
-        report["stabilizers_conjugate"],
-    )
-    report["all_ok"] = all(checks)
-    if not report["all_ok"]:
-        raise StructureError(f"structure analysis failed: {report}")
-    return report
+    return _settle(report, {
+        "marked_set_invariant": report["marked_set_invariant"],
+        "k_order": report["k_order"] == 9,
+        "k_normal": report["k_normal"],
+        "k_iso_z3xz3": report["k_iso_z3xz3"],
+        "k_regular_on_marked": report["k_regular_on_marked"],
+        "h_order": report["h_order"] == 16,
+        "h_abelian": not report["h_abelian"],
+        "h_iso_d4xz2": report["h_iso_d4xz2"],
+        "semidirect": report["semidirect"],
+        "sigma_two_m": report["sigma_two_m"],
+        "sigma_two_f": report["sigma_two_f"],
+        "rho": report["rho"],
+        "delta": report["delta"],
+        "tau_count": report["tau_count"] >= 1,
+        "stabilizers_conjugate": report["stabilizers_conjugate"],
+    }, "all_ok", "structure analysis")
 
 
 def graph_properties(g: Graph) -> dict:
@@ -271,14 +251,10 @@ def refutation_check() -> dict:
             for name, other in others.items()
         },
     }
-    ok = (
-        report["cubic"]
-        and report["bipartite"]
-        and report["essentially_4_edge_connected"]
-        and report["p2fi_status"] not in (MIXED, NO_TWO_FACTOR)
-        and all(report["distinct_from"].values())
-    )
-    report["refutation_holds"] = ok
-    if not ok:
-        raise StructureError(f"refutation check failed: {report}")
-    return report
+    return _settle(report, {
+        "cubic": report["cubic"],
+        "bipartite": report["bipartite"],
+        "essentially_4_edge_connected": report["essentially_4_edge_connected"],
+        "p2fi_status": report["p2fi_status"] not in (MIXED, NO_TWO_FACTOR),
+        "distinct_from": all(report["distinct_from"].values()),
+    }, "refutation_holds", "refutation check")

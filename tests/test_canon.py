@@ -231,10 +231,17 @@ class TestCanonicalForm:
             assert graph6_encode(cf.graph) == cf.certificate
 
     def test_cells_may_be_iterators(self):
-        """Each cell is read once, so a cell given as an iterator counts."""
+        """Each cell is read once, so a cell given as an iterator counts.
+        The empty graph takes the general search under the default cells,
+        no cells, and one empty cell given as a list or an iterator."""
         g = gp(5, 2)
         cf, ref = canonical_form(g, [iter(range(10))]), canonical_form(g)
         assert (cf.certificate, cf.order, cf.color_sizes) == (ref.certificate, ref.order, (10,))
+        for cells in (None, [], [[]], [iter(())]):
+            cf = canonical_form(build(0, []), cells)
+            assert (cf.certificate, cf.order, cf.color_sizes, cf.automorphisms) \
+                == (b"?", (), (), ())
+            assert cf.graph == build(0, []) and cf.group.order == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

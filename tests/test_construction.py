@@ -6,6 +6,7 @@ canonical-search implementation.
 """
 
 import itertools
+import random
 import re
 
 import networkx as nx
@@ -33,7 +34,8 @@ from levibridge.construction import (
     mk_residue,
     spec_symmetries,
 )
-from levibridge.graphs import bipartition, girth, is_cubic
+from levibridge.graphs import (adjacency_masks, bfs_layers, bipartition, build, girth,
+                               is_cubic)
 from levibridge.incidence import Configuration, fano, moebius_kantor
 from levibridge.twofactors import ALL_ODD, pseudo_2fi
 
@@ -451,6 +453,110 @@ class TestIdentification:
         assert config.n_points == 15 and len(config.lines) == 15
 
 
+def _distance_matrix(g):
+    adj = adjacency_masks(g)
+    dist = []
+    for start in range(g.n):
+        row = [-1] * g.n
+        for d, layer in enumerate(bfs_layers(adj, start)):
+            for v in range(g.n):
+                if layer >> v & 1:
+                    row[v] = d
+        dist.append(row)
+    return dist
+
+
+def _edge_vertex_distance(dist, edge, v) -> int:
+    return min(dist[edge[0]][v], dist[edge[1]][v])
+
+
+def _edge_edge_distance(dist, e1, e2) -> int:
+    return min(dist[a][b] for a in e1 for b in e2)
+
+
+def _distance_marked_edges(g) -> MarkedEdges:
+    """Oracle: the distance-matrix recovery of the marked edges that the
+    bitmask one in construction replaced, kept verbatim."""
+    if g.labels is None or len(g.labels) != g.n:
+        raise StructureError("marked_edges needs the origin labels of a join")
+    first_points = {v for v in range(g.n) if g.labels[v].startswith("fp")}
+    first_lines = {v for v in range(g.n) if g.labels[v].startswith("fl")}
+    second_points = {v for v in range(g.n) if g.labels[v].startswith("mp")}
+    second_lines = {v for v in range(g.n) if g.labels[v].startswith("ml")}
+    if not (first_points and first_lines and second_points and second_lines):
+        raise StructureError("marked_edges needs the origin labels of a join")
+    first = first_points | first_lines
+    second = second_points | second_lines
+
+    bridge_edges = [
+        (u, v) for u, v in g.edges if (u in first) != (v in first)
+    ]
+    if len(bridge_edges) != 8:
+        raise StructureError(f"expected 8 bridge edges, found {len(bridge_edges)}")
+
+    open_first_points = sorted(
+        u for u in first_points
+        if any(v in second_lines for v in g.neighbors(u))
+    )
+    open_first_lines = sorted(
+        u for u in first_lines
+        if any(v in second_points for v in g.neighbors(u))
+    )
+    if len(open_first_points) != 4 or len(open_first_lines) != 4:
+        raise StructureError("expected four open points and four open lines")
+    special = open_first_points + open_first_lines
+
+    dist = _distance_matrix(g)
+
+    e_candidates = [
+        edge for edge in g.edges
+        if all(_edge_vertex_distance(dist, edge, v) == 2 for v in special)
+    ]
+    if len(e_candidates) != 1:
+        raise StructureError(
+            f"expected a unique edge at distance 2 from the quadrilateral, "
+            f"found {len(e_candidates)}"
+        )
+    e = e_candidates[0]
+
+    f_edges = []
+    for p in open_first_points:
+        partners = [v for v in g.neighbors(p) if v in set(open_first_lines)]
+        if len(partners) != 1:
+            raise StructureError(
+                f"open point {p} should keep exactly one open line, "
+                f"found {len(partners)}"
+            )
+        f_edges.append((p, partners[0]) if p < partners[0] else (partners[0], p))
+
+    # Edge-to-edge distance counts the edges of a connecting path (adjacent
+    # edges are at distance 1), so distance 2 from the bridge set means:
+    # no shared vertex with any bridge edge, but some endpoint adjacent to
+    # a bridge endpoint.
+    m_edges = [
+        edge for edge in g.edges
+        if edge[0] in second and edge[1] in second
+        and min(_edge_edge_distance(dist, edge, b) for b in bridge_edges) == 1
+    ]
+    if len(m_edges) != 4:
+        raise StructureError(
+            f"expected 4 edges at distance 2 from the eight-bridge, "
+            f"found {len(m_edges)}"
+        )
+    touched = [v for edge in m_edges for v in edge]
+    if len(set(touched)) != 8:
+        raise StructureError("the four distinguished second-residue edges intersect")
+    return MarkedEdges(e=e, f=tuple(f_edges), m=tuple(sorted(m_edges)))
+
+
+def _outcome(find, g):
+    """find(g), or the message of the StructureError it raises."""
+    try:
+        return find(g)
+    except StructureError as exc:
+        return str(exc)
+
+
 class TestMarkedEdges:
     def test_exact_edges(self):
         me = marked_edges(goedgebeur_graph())
@@ -489,6 +595,26 @@ class TestMarkedEdges:
         stripped = build(g.n, g.edges)
         with pytest.raises(StructureError):
             marked_edges(stripped)
+
+    def test_matches_the_distance_oracle_on_every_join(self):
+        outcomes = [(_outcome(marked_edges, g), _outcome(_distance_marked_edges, g))
+                    for g in map(bridge_graph, all_bridge_specs())]
+        assert all(mine == oracle for mine, oracle in outcomes)
+        assert any(isinstance(mine, MarkedEdges) for mine, _ in outcomes)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_distance_oracle_on_relabellings(self, seed):
+        # A relabelling that carries the origin labels moves every marked
+        # edge with it.
+        g = goedgebeur_graph()
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        moved = build(g.n, [(perm[u], perm[v]) for u, v in g.edges],
+                      {perm[v]: label for v, label in g.labels.items()})
+        me = marked_edges(moved)
+        assert me == _distance_marked_edges(moved)
+        assert {frozenset(x) for x in me.all} \
+            == {frozenset((perm[u], perm[v])) for u, v in marked_edges(g).all}
 
     def test_marked_edges_is_frozen_container(self):
         me = marked_edges(goedgebeur_graph())

@@ -21,6 +21,7 @@ from levibridge.graphs import (
 from levibridge.incidence import (
     Configuration,
     ConfigurationError,
+    _levi_cells,
     automorphism_order,
     configuration,
     dual,
@@ -87,26 +88,28 @@ class TestValidation:
 
 class TestLeviGraphs:
     def test_fano_levi_is_heawood(self):
-        g, sides = levi_graph(fano())
+        g = levi_graph(fano())
         assert g.n == 14 and is_cubic(g) and girth(g) == 6
         assert isomorphism(g, heawood()) is not None
         assert isomorphism(g, lcf([5, -5], 7)) is not None
-        assert sides.side_a == frozenset(range(7))
+        assert _levi_cells(fano()) == [tuple(range(7)), tuple(range(7, 14))]
+        assert all((u < 7) != (v < 7) for u, v in g.edges)
 
     def test_mk_levi_is_gp83(self):
-        g, _ = levi_graph(moebius_kantor())
+        g = levi_graph(moebius_kantor())
         assert g.n == 16 and is_cubic(g) and girth(g) == 6
         assert isomorphism(g, gp(8, 3)) is not None
         assert isomorphism(g, lcf([5, -5], 8)) is not None
 
     def test_levi_bipartition_is_real(self):
-        g, sides = levi_graph(moebius_kantor())
+        g = levi_graph(moebius_kantor())
         found = bipartition(g)
         assert found is not None
-        assert {found.side_a, found.side_b} == {sides.side_a, sides.side_b}
+        sides = {frozenset(cell) for cell in _levi_cells(moebius_kantor())}
+        assert {found.side_a, found.side_b} == sides
 
     def test_levi_labels(self):
-        g, _ = levi_graph(fano())
+        g = levi_graph(fano())
         assert g.labels[0] == "p0" and g.labels[7] == "l0"
 
 
@@ -126,7 +129,7 @@ class TestDuality:
 
 
 def _nx_levi_aut_order(c) -> int:
-    g, _ = levi_graph(c)
+    g = levi_graph(c)
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges)
@@ -138,17 +141,17 @@ class TestAutomorphisms:
         # Side-respecting symmetries: 168; the Levi graph doubles it with
         # the point/line swap coming from self-duality.
         assert automorphism_order(fano()) == 168
-        g, _ = levi_graph(fano())
+        g = levi_graph(fano())
         assert automorphism_group(g).order == 336
         assert _nx_levi_aut_order(fano()) == 336
 
     def test_mk_group_order(self):
         assert automorphism_order(moebius_kantor()) == 48
-        g, _ = levi_graph(moebius_kantor())
+        g = levi_graph(moebius_kantor())
         assert automorphism_group(g).order == 96
         assert _nx_levi_aut_order(moebius_kantor()) == 96
 
     def test_levi_order_is_twice_configuration_order(self):
         for c in (fano(), moebius_kantor()):
-            g, _ = levi_graph(c)
+            g = levi_graph(c)
             assert automorphism_group(g).order == 2 * automorphism_order(c)

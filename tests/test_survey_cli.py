@@ -4,9 +4,9 @@ CLI tests run the installed console script in a subprocess so argument
 parsing, exit codes, and stream handling are exercised end to end.
 """
 
-import ast
 import itertools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +25,7 @@ from levibridge.groups import (
     inverse,
     perm_order,
 )
-from levibridge.graphs import build, graph6_encode, heawood, k33, petersen
+from levibridge.graphs import build, graph6_encode, heawood, k33, pappus, petersen
 from levibridge.survey import (
     StructureError,
     aut_structure,
@@ -33,7 +33,7 @@ from levibridge.survey import (
     run_survey,
     survey_json,
 )
-from levibridge.twofactors import ALL_ODD, MIXED
+from levibridge.twofactors import ALL_ODD, MIXED, pseudo_2fi
 
 
 class TestSurvey:
@@ -41,20 +41,20 @@ class TestSurvey:
         rows = run_survey()
         census = bridge_census()
         assert len(rows) == 17
-        assert [r.size for r in rows] == [len(c.specs) for c in census]
-        assert [r.aut_order for r in rows] == [c.aut_order for c in census]
-        assert rows[0].aut_order == 144
-        assert sum(r.size for r in rows) == 576
+        assert [r["size"] for r in rows] == [len(c.specs) for c in census]
+        assert [r["aut_order"] for r in rows] == [c.aut_order for c in census]
+        assert rows[0]["aut_order"] == 144
+        assert sum(r["size"] for r in rows) == 576
 
     def test_diagonal_flags(self):
         rows = run_survey()
-        assert [r.aut_order for r in rows if r.diagonal] == [144, 24]
+        assert [r["aut_order"] for r in rows if r["diagonal"]] == [144, 24]
 
     def test_representative_is_class_certificate(self):
         rows = run_survey()
         for row, cls in zip(rows, bridge_census()):
-            assert row.representative == cls.certificate.decode("ascii")
-        assert rows[0].representative == canonical_form(
+            assert row["representative"] == cls.certificate.decode("ascii")
+        assert rows[0]["representative"] == canonical_form(
             goedgebeur_graph()
         ).certificate.decode("ascii")
 
@@ -64,12 +64,13 @@ class TestSurvey:
         payload = json.loads(survey_json(rows))
         assert payload["schema"] == 1
         assert len(payload["rows"]) == 17
-        assert "p2fi_status" not in payload["rows"][0]
+        assert payload["rows"] == rows
+        assert "p2fi_status" not in rows[0]
 
     def test_p2fi_sweep_singles_out_the_identified_class(self):
         rows = run_survey(p2fi=True)
-        assert rows[0].p2fi_status == ALL_ODD
-        others = {r.p2fi_status for r in rows[1:]}
+        assert rows[0]["p2fi_status"] == ALL_ODD
+        others = {r["p2fi_status"] for r in rows[1:]}
         assert others == {MIXED}
         payload = json.loads(survey_json(rows))
         assert payload["rows"][0]["p2fi_status"] == ALL_ODD
@@ -150,15 +151,11 @@ def _setwise_stabilizer(group, vertices):
                      (p for p in group.elements if frozenset(p[v] for v in key) == key))
 
 
-# The report's boolean checks; each must read True for all_ok.
-_FLAGS = ("marked_set_invariant", "k_normal", "k_iso_z3xz3", "k_regular_on_marked",
-          "h_iso_d4xz2", "semidirect", "sigma_two_m", "sigma_two_f", "rho", "delta",
-          "stabilizers_conjugate")
-
-
 def _failed_flags(exc: StructureError) -> set[str]:
-    report = ast.literal_eval(str(exc).removeprefix("structure analysis failed: "))
-    return {flag for flag in _FLAGS if not report[flag]}
+    """The checks a failure message names, each as `key = value`."""
+    message = str(exc)
+    assert message.startswith("structure analysis failed: ")
+    return set(re.findall(r"(\w+) = ", message))
 
 
 def _patch_rows(monkeypatch, corrupt):
@@ -215,6 +212,7 @@ class TestMarkedEdgeTable:
             aut_structure()
         assert corrupted
         assert _failed_flags(info.value) == {"stabilizers_conjugate"}
+        assert str(info.value).endswith("stabilizers_conjugate = False")
 
     def test_a_k_row_repeating_a_target_fails_regularity(self, monkeypatch):
         # Every element of order 3 lies in the normal Sylow subgroup K. The
@@ -233,7 +231,7 @@ class TestMarkedEdgeTable:
         assert swapped
         assert _failed_flags(info.value) == {"k_regular_on_marked"}
 
-    def test_a_target_no_row_reaches_is_not_conjugate(self, monkeypatch):
+    def test_a_target_no_row_reaches_is_not_conjugate(self, monkeypatch, capsys):
         # Rows sending e to the last marked edge claim to fix e instead, so
         # no element is found for that target; the check reads False and
         # raises no StopIteration.
@@ -247,6 +245,17 @@ class TestMarkedEdgeTable:
         with pytest.raises(StructureError) as info:
             aut_structure()
         assert {"k_regular_on_marked", "stabilizers_conjugate"} <= _failed_flags(info.value)
+        # The corruption keeps no state, so the CLI sees it too and names
+        # each failed check with its value.
+        from levibridge import cli
+
+        assert cli.main(["aut", "--structure"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "levibridge: structural failure: structure analysis failed: ")
+        assert "k_regular_on_marked = False" in captured.err
+        assert "stabilizers_conjugate = False" in captured.err
 
 
 class TestRefutation:
@@ -262,6 +271,23 @@ class TestRefutation:
         assert report["distinct_from"] == {
             "k33": True, "heawood": True, "pappus": True
         }
+
+    def test_a_mixed_parity_names_the_failed_check(self, monkeypatch, capsys):
+        # The parity of the order-24 diagonal class stands in for the
+        # identified graph's: the check and the CLI name it with its value.
+        from levibridge import cli
+
+        mixed = pseudo_2fi(bridge_graph(bridge_census()[1].representative))
+        assert mixed.status == MIXED
+        monkeypatch.setattr(survey, "pseudo_2fi", lambda g: mixed)
+        with pytest.raises(StructureError) as info:
+            refutation_check()
+        assert str(info.value) == "refutation check failed: p2fi_status = 'Mixed'"
+        assert cli.main(["refute"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("levibridge: structural failure: refutation check "
+                                "failed: p2fi_status = 'Mixed'\n")
 
 
 def _cli(*args, stdin: str | None = None):
@@ -379,6 +405,20 @@ class TestCli:
         mapping = json.loads(same.stdout)["mapping"]
         assert sorted(mapping) == list(range(10))
         assert _cli("iso", str(a), str(c)).returncode == 2
+
+    def test_iso_refuses_a_file_of_several_graphs(self, tmp_path, capsys):
+        from levibridge.cli import main
+
+        one, two = tmp_path / "one.g6", tmp_path / "two.g6"
+        one.write_text(graph6_encode(heawood()).decode() + "\n")
+        two.write_text(graph6_encode(heawood()).decode() + "\n"
+                       + graph6_encode(pappus()).decode() + "\n")
+        for files in ((two, one), (one, two)):
+            assert main(["iso", *map(str, files)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"iso compares one graph per file; {two} holds 2" in captured.err
+        assert main(["iso", str(one), str(one)]) == 0
 
     def test_config_commands(self):
         out = _cli("config", "fano")
