@@ -19,8 +19,11 @@ maps the first path's subtree onto the rest of the current one.
 None of this changes the result: the least key does not depend on the
 order of the search, the labelling returned is the least vertex sequence
 among the leaves carrying it, and every skipped subtree is the image of a
-searched one with a smaller vertex sequence (see `_Search._node`). Built
-for graphs up to a few hundred vertices.
+searched one with a smaller vertex sequence (see `_Search._node`).
+Refinement stops once the partition is discrete, since a singleton cell
+never splits. Each form is cached on its graph, keyed by the cells, so
+every question asked of one graph object reads one search. Built for
+graphs up to a few hundred vertices.
 """
 
 from __future__ import annotations
@@ -89,12 +92,15 @@ def _refine(adj, cells, queue):
     constant on the cell: Fk splits nothing and writes no trace entry.
     Cells and trace are those of a queue holding every fragment. A child
     queues only its individualized vertex: the rest of its cell is the
-    last fragment of a cell of an equitable partition.
+    last fragment of a cell of an equitable partition. Once every cell is
+    a singleton no splitter splits anything, so the pass stops there.
     """
     cells = list(cells)
     masks = [_mask(c) for c in cells]
     trace = []
     for splitter in queue:  # grows while cells split
+        if len(cells) == len(adj):
+            break
         smask = hit = 0
         for s in splitter:
             smask |= 1 << s
@@ -239,18 +245,24 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
     """Canonically relabel g; equal certificates characterize isomorphism.
 
     Optional cells fix an ordered vertex coloring that any relabeling must
-    respect; canonical positions then stay grouped by color.
+    respect; canonical positions then stay grouped by color. The form is
+    cached on g like its adjacency masks, one per coloring, so it lives
+    and dies with g.
     """
     cells = _normalize_cells(g, cells)
-    search = _Search(g, cells)
-    lab = search.best[2]
-    pos = [0] * g.n
-    for p, v in enumerate(lab):
-        pos[v] = p
-    canon = build(g.n, [(pos[u], pos[v]) for u, v in g.edges])
-    return CanonicalForm(
-        canon, graph6_encode(canon), lab, tuple(len(c) for c in cells), tuple(search.autos)
-    )
+    forms = g.__dict__.setdefault("_forms", {})
+    key = tuple(cells)
+    if key not in forms:
+        search = _Search(g, cells)
+        lab = search.best[2]
+        pos = [0] * g.n
+        for p, v in enumerate(lab):
+            pos[v] = p
+        canon = build(g.n, [(pos[u], pos[v]) for u, v in g.edges])
+        forms[key] = CanonicalForm(
+            canon, graph6_encode(canon), lab, tuple(len(c) for c in cells), tuple(search.autos)
+        )
+    return forms[key]
 
 
 def isomorphism(g: Graph, h: Graph, cells_g=None, cells_h=None):

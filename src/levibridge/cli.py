@@ -131,6 +131,8 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    if args.file1 == args.file2 == "-":
+        raise ValueError("iso reads stdin for one graph only, not for both: '-' given twice")
     pair = []
     for path in (args.file1, args.file2):
         graphs = _read_graphs(path)

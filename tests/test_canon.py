@@ -15,6 +15,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levibridge import canon
 from levibridge.canon import (
     _labelling_map,
     _Search,
@@ -23,7 +24,12 @@ from levibridge.canon import (
     canonical_form,
     isomorphism,
 )
-from levibridge.construction import all_bridge_specs, bridge_graph, goedgebeur_graph
+from levibridge.construction import (
+    all_bridge_specs,
+    bridge_census,
+    bridge_graph,
+    goedgebeur_graph,
+)
 from levibridge.graphs import (
     adjacency_masks,
     build,
@@ -257,6 +263,59 @@ class TestCanonicalForm:
         assert canonical_form(g).certificate == canonical_form(h).certificate
 
 
+class TestFormCache:
+    """The canonical form is cached on its graph, one entry per coloring."""
+
+    def test_each_graph_is_searched_once(self, monkeypatch):
+        built = []
+
+        class Counted(_Search):
+            def __init__(self, g, cells):
+                built.append(g)
+                super().__init__(g, cells)
+
+        monkeypatch.setattr(canon, "_Search", Counted)
+        g = heawood()
+        h = _shuffle(g, random.Random(3))
+        phi = isomorphism(g, h)
+        assert automorphism_group(g).order == 336
+        canonical_form(g)
+        assert len(built) == 2 and built[0] is g and built[1] is h
+        built.clear()
+        assert isomorphism(g, h) == phi and built == []
+
+    def test_cached_form_matches_a_fresh_copy(self):
+        """Certificate, labelling and |Aut| read from the cache equal those
+        a fresh copy's own search gives, uncolored and under two colors; a
+        coloring given as iterators reads the same entry."""
+        rng = random.Random(1717)
+        joins = [bridge_graph(c.representative) for c in bridge_census()]
+        assert len(joins) == 17
+        named = [heawood(), pappus(), moebius_kantor_graph(), gp(10, 3)]
+        graphs = joins + [_shuffle(g, rng) for g in joins + named]
+        for g in graphs:
+            colors = [[v for v in range(g.n) if v % 3], [v for v in range(g.n) if not v % 3]]
+            for cells in (None, colors):
+                cf = canonical_form(g, cells)
+                fresh = canonical_form(build(g.n, g.edges), cells)
+                assert canonical_form(g, cells) is cf
+                assert (cf.certificate, cf.order, cf.group.order) \
+                    == (fresh.certificate, fresh.order, fresh.group.order), g
+            assert canonical_form(g, (iter(c) for c in colors)) is canonical_form(g, colors)
+
+    def test_colorings_are_cached_apart(self):
+        """One graph searched uncolored, then under two colorings of equal
+        color sizes, gives three different forms."""
+        g = build(3, [(0, 1), (1, 2)])
+        plain = canonical_form(g)
+        end = canonical_form(g, [[0], [1, 2]])
+        middle = canonical_form(g, [[1], [0, 2]])
+        assert plain.color_sizes == (3,) and end.color_sizes == middle.color_sizes == (1, 2)
+        assert end.certificate != middle.certificate
+        assert (plain.group.order, end.group.order, middle.group.order) == (2, 1, 2)
+        assert canonical_form(g) is plain
+
+
 class TestIsomorphism:
     def test_agrees_with_networkx_on_random_pairs(self):
         rng = random.Random(77)
@@ -284,7 +343,9 @@ class TestIsomorphism:
             raise AssertionError("isomorphism built a stabilizer chain")
 
         tutte_8_cage = lcf([-13, -9, 7, -7, 9, 13], 5)
-        graphs = (heawood(), tutte_8_cage, goedgebeur_graph(), build(12, []))
+        # A fresh copy of the join, whose shared form may be cached already.
+        join = goedgebeur_graph()
+        graphs = (heawood(), tutte_8_cage, build(join.n, join.edges), build(12, []))
         # Patched only now: the join comes from the census, which reads groups.
         monkeypatch.setattr(PermGroup, "add", no_chain)
         rng = random.Random(9)
@@ -350,8 +411,11 @@ class TestSearchOrder:
 
     def test_refine_matches_every_cell_refinement(self):
         """Refinement from a random ordered partition gives the earlier
-        refinement's cells and trace."""
+        refinement's cells and trace, also where it stops at a discrete
+        partition: a split queues a fragment behind the splitter that made
+        it, so a partition a split made discrete still has splitters queued."""
         rng = random.Random(707)
+        stopped = 0
         for _ in range(300):
             g = _random_graph(rng, rng.randint(1, 14))
             verts = list(range(g.n))
@@ -359,8 +423,10 @@ class TestSearchOrder:
             cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n - 1))) if g.n > 1 else []
             cells = [tuple(verts[a:b]) for a, b in zip([0] + cuts, cuts + [g.n])]
             adj = adjacency_masks(g)
-            assert (_refine(adj, cells, list(cells))
-                    == _refine_every_cell(adj, cells, [_mask(c) for c in cells]))
+            refined, trace = _refine(adj, cells, list(cells))
+            assert (refined, trace) == _refine_every_cell(adj, cells, [_mask(c) for c in cells])
+            stopped += len(refined) == g.n and bool(trace)
+        assert stopped >= 100
 
     def test_child_refinement_matches_every_cell_refinement(self):
         """A child refines from its individualized vertex alone: from an

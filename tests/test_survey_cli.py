@@ -114,24 +114,31 @@ class TestAutStructure:
         assert report["all_ok"]
 
     def test_one_canonical_search_per_graph(self, monkeypatch):
-        # The census searched the identified graph already, but keeps only
-        # its certificate and |Aut|: the battery searches each graph once.
+        # The census searched the identified graph's class already, but keeps
+        # only its certificate and |Aut|: the battery searches each graph
+        # once, and a graph searched before, not at all. A fresh copy of the
+        # identified graph stands in for it, whose shared form earlier tests
+        # may have cached.
         base = goedgebeur_graph()
+        fresh = build(base.n, base.edges, base.labels)
         relabeled = build(base.n, [(29 - u, 29 - v) for u, v in base.edges])
+        monkeypatch.setattr(survey, "goedgebeur_graph", lambda: fresh)
         searched = []
-        search = canon.canonical_form
 
-        def counted(g, cells=None):
-            searched.append(g)
-            return search(g, cells)
+        class Counted(canon._Search):
+            def __init__(self, g, cells):
+                searched.append(g)
+                super().__init__(g, cells)
 
-        monkeypatch.setattr(canon, "canonical_form", counted)
-        monkeypatch.setattr(survey, "canonical_form", counted, raising=False)
+        monkeypatch.setattr(canon, "_Search", Counted)
         aut_structure()
-        assert searched == [base]
+        assert len(searched) == 1 and searched[0] is fresh
         searched.clear()
         aut_structure(relabeled)
-        assert len(searched) == 2 and base in searched and relabeled in searched
+        assert len(searched) == 1 and searched[0] is relabeled
+        searched.clear()
+        aut_structure(relabeled)
+        assert searched == []
 
     def test_rejects_foreign_graph(self):
         with pytest.raises(StructureError):
@@ -405,6 +412,27 @@ class TestCli:
         mapping = json.loads(same.stdout)["mapping"]
         assert sorted(mapping) == list(range(10))
         assert _cli("iso", str(a), str(c)).returncode == 2
+        one_piped = _cli("iso", "-", str(b), stdin=a.read_text())
+        assert one_piped.returncode == 0 and json.loads(one_piped.stdout)["isomorphic"]
+
+    def test_iso_refuses_stdin_for_both_graphs(self, monkeypatch, capsys):
+        """stdin holds one stream: `iso - -` exits 1 before reading it, with
+        a message naming the repeated `-` rather than blaming the input."""
+        from levibridge.cli import main
+
+        class Unread:
+            def read(self):
+                raise AssertionError("iso read stdin")
+
+        monkeypatch.setattr(sys, "stdin", Unread())
+        assert main(["iso", "-", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "iso reads stdin for one graph only, not for both: '-' given twice" \
+            in captured.err
+        out = _cli("iso", "-", "-", stdin=graph6_encode(petersen()).decode() + "\n")
+        assert (out.returncode, out.stdout) == (1, "")
+        assert "'-' given twice" in out.stderr and "no graph6" not in out.stderr
 
     def test_iso_refuses_a_file_of_several_graphs(self, tmp_path, capsys):
         from levibridge.cli import main
