@@ -21,9 +21,10 @@ order of the search, the labelling returned is the least vertex sequence
 among the leaves carrying it, and every skipped subtree is the image of a
 searched one with a smaller vertex sequence (see `_Search._node`).
 Refinement stops once the partition is discrete, since a singleton cell
-never splits. Each form is cached on its graph, keyed by the cells, so
-every question asked of one graph object reads one search. Built for
-graphs up to a few hundred vertices.
+never splits. Each form is kept in its graph's one cache
+(`graphs._cached`), keyed by the cells, so every question asked of one
+graph object reads one search. Built for graphs up to a few hundred
+vertices.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, adjacency_masks, build, graph6_encode
+from .graphs import Graph, GraphError, _cached, adjacency_masks, build, graph6_encode
 from .groups import PermGroup, _orbit
 
 
@@ -231,14 +232,26 @@ class _Search:
         return None
 
 
-def _normalize_cells(g: Graph, cells):
+def _normalize_cells(g: Graph, cells) -> tuple[tuple[int, ...], ...]:
     if cells is None:
         cells = [tuple(range(g.n))] if g.n else []
-    cells = [c for c in map(tuple, cells) if c]
+    cells = tuple(c for c in map(tuple, cells) if c)
     flat = sorted(v for c in cells for v in c)
     if flat != list(range(g.n)):
         raise GraphError("cells must partition the vertex set")
     return cells
+
+
+def _search_form(g: Graph, cells) -> CanonicalForm:
+    search = _Search(g, cells)
+    lab = search.best[2]
+    pos = [0] * g.n
+    for p, v in enumerate(lab):
+        pos[v] = p
+    canon = build(g.n, [(pos[u], pos[v]) for u, v in g.edges])
+    return CanonicalForm(
+        canon, graph6_encode(canon), lab, tuple(len(c) for c in cells), tuple(search.autos)
+    )
 
 
 def canonical_form(g: Graph, cells=None) -> CanonicalForm:
@@ -246,23 +259,9 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
 
     Optional cells fix an ordered vertex coloring that any relabeling must
     respect; canonical positions then stay grouped by color. The form is
-    cached on g like its adjacency masks, one per coloring, so it lives
-    and dies with g.
+    held in g's one cache (`graphs._cached`), one entry per coloring.
     """
-    cells = _normalize_cells(g, cells)
-    forms = g.__dict__.setdefault("_forms", {})
-    key = tuple(cells)
-    if key not in forms:
-        search = _Search(g, cells)
-        lab = search.best[2]
-        pos = [0] * g.n
-        for p, v in enumerate(lab):
-            pos[v] = p
-        canon = build(g.n, [(pos[u], pos[v]) for u, v in g.edges])
-        forms[key] = CanonicalForm(
-            canon, graph6_encode(canon), lab, tuple(len(c) for c in cells), tuple(search.autos)
-        )
-    return forms[key]
+    return _cached(g, _search_form, _normalize_cells(g, cells))
 
 
 def isomorphism(g: Graph, h: Graph, cells_g=None, cells_h=None):

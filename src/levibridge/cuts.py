@@ -14,19 +14,19 @@ sets, from a few *source* cycles to targets vertex-disjoint from them. A cut
 that crosses a cycle holds at least 2 of its edges, so once p pairwise
 edge-disjoint sources have been processed, any cut still unseen has at least
 2p edges. Up to 40 vertices the targets are short chordless cycles, and the
-search, cached on the graph, gives the exact cyclic edge connectivity and a
-minimum cyclic cut, from which both answers are read. Above 40 vertices the
-essential check runs the loop from two edge-disjoint shortest cycles to
-every edge; it takes them from the graph layer's `shortest_cycle`, so the
-only search in this module is the flows' own.
+search, held in the graph's one cache, gives the exact cyclic edge
+connectivity and a minimum cyclic cut, from which both answers are read.
+Above 40 vertices the essential check runs the loop from two edge-disjoint
+shortest cycles to every edge; it takes them from the graph layer's
+`shortest_cycle`, so the only search in this module is the flows' own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (Graph, GraphError, _neighbor_tuples, adjacency_masks, components,
-                     is_cubic, shortest_cycle)
+from .graphs import (Graph, GraphError, _cached, _neighbor_tuples, adjacency_masks,
+                     components, is_cubic, shortest_cycle)
 
 CYCLIC_MAX_VERTICES = 40  # the cyclic search's size limit (see cyclic_edge_connectivity)
 _CHORDLESS_CAP = 9  # see cyclic_edge_connectivity for why this is exhaustive
@@ -153,15 +153,11 @@ def _packed_search(g: Graph, cycles: list[tuple[int, ...]],
 def _cyclic_cut(g: Graph) -> tuple[int | None, frozenset[int] | None]:
     """The cyclic search over chordless cycles of at most `_CHORDLESS_CAP`
     vertices: the cyclic edge connectivity and a side of a minimum cyclic cut.
-
-    Cached on g like its adjacency masks, so each of the two questions asked
-    of one graph reads the same search.
+    Callers read it through g's one cache (`graphs._cached`), so the two
+    questions asked of one graph share one search.
     """
-    found = g.__dict__.get("_cyclic_cut")
-    if found is None:
-        cycles = sorted(_chordless_cycles(g, _CHORDLESS_CAP), key=len)
-        found = g.__dict__["_cyclic_cut"] = _packed_search(g, cycles, None, None)
-    return found
+    cycles = sorted(_chordless_cycles(g, _CHORDLESS_CAP), key=len)
+    return _packed_search(g, cycles, None, None)
 
 
 def _small_cut_to_edges(g: Graph) -> tuple[int, frozenset[int] | None]:
@@ -200,7 +196,7 @@ def is_essentially_4_edge_connected(g: Graph) -> tuple[bool, CutCertificate | No
     most 3 edges hold a cycle: the cut is cyclic. Hence the graph is
     essentially 4-edge-connected exactly when its cyclic edge connectivity
     is None or at least 4. Up to 40 vertices the answer is read off the
-    cached cyclic search (`cyclic_edge_connectivity`); above, the same flows
+    cyclic search (`_cyclic_cut`) in g's cache; above, the same flows
     run from two edge-disjoint shortest cycles to every edge (see
     `_small_cut_to_edges`).
 
@@ -212,7 +208,8 @@ def is_essentially_4_edge_connected(g: Graph) -> tuple[bool, CutCertificate | No
         raise GraphError("essential 4-edge-connectivity needs a cubic graph")
     if len(components(adjacency_masks(g))) != 1:  # no vertices counts as disconnected
         raise GraphError("essential 4-edge-connectivity needs a connected graph")
-    best, side_a = _cyclic_cut(g) if g.n <= CYCLIC_MAX_VERTICES else _small_cut_to_edges(g)
+    small = g.n <= CYCLIC_MAX_VERTICES
+    best, side_a = _cached(g, _cyclic_cut) if small else _small_cut_to_edges(g)
     if best is None or best >= 4:
         return True, None
     side_b = frozenset(range(g.n)) - side_a
@@ -245,10 +242,11 @@ def cyclic_edge_connectivity(g: Graph) -> int | None:
     has already found the minimum, or every minimum cut crosses C and so
     holds at least 2 of its edges, which the packing bound counts.
 
-    The search keeps the source side of the pair that set the minimum, and
-    caches it on g with the value. Both sides of that cut are connected: the
-    side is reached from a cycle along edges, and a part of the other side
-    that missed the target cycle could move across and shrink the cut.
+    The search (`_cyclic_cut`) keeps the source side of the pair that set
+    the minimum with the value, both held in g's cache. Both sides of that
+    cut are connected: the side is reached from a cycle along edges, and a
+    part of the other side that missed the target cycle could move across
+    and shrink the cut.
     """
     if not is_cubic(g):
         raise GraphError("cyclic edge connectivity needs a cubic graph")
@@ -257,4 +255,4 @@ def cyclic_edge_connectivity(g: Graph) -> int | None:
                          f"{CYCLIC_MAX_VERTICES} vertices")
     if len(components(adjacency_masks(g))) != 1:
         raise GraphError("cyclic edge connectivity needs a connected graph")
-    return _cyclic_cut(g)[0]
+    return _cached(g, _cyclic_cut)[0]

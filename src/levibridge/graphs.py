@@ -60,27 +60,41 @@ def build(n: int, edges, labels: dict[int, str] | None = None) -> Graph:
     return Graph(n, tuple(sorted(seen)), labels)
 
 
-def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    """Per-vertex neighbor bitmasks, cached on g since Graph is immutable.
+def _cached(g: Graph, make, *args):
+    """make(g, *args), computed once per graph and kept on g.
 
-    The cache lives and dies with g, so a stream of graphs keeps none alive.
+    This is the one per-graph cache and the only code that reads or writes
+    a Graph's __dict__. Graph is immutable and make is a pure function of
+    g.n, g.edges and args, so an entry never goes stale. The cache lives and
+    dies with g, so a stream of graphs keeps none alive.
     """
-    masks = g.__dict__.get("_masks")
-    if masks is None:
-        adj = [0] * g.n
-        for u, v in g.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        masks = g.__dict__["_masks"] = tuple(adj)
-    return masks
+    cache = g.__dict__.setdefault("_cache", {})
+    key = (make, args)
+    if key not in cache:
+        cache[key] = make(g, *args)
+    return cache[key]
+
+
+def _masks(g: Graph) -> tuple[int, ...]:
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def _neighbors(g: Graph) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(u for u in range(g.n) if m >> u & 1) for m in adjacency_masks(g))
+
+
+def adjacency_masks(g: Graph) -> tuple[int, ...]:
+    """Per-vertex neighbor bitmasks, cached on g."""
+    return _cached(g, _masks)
 
 
 def _neighbor_tuples(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Per-vertex ascending neighbor tuples, cached on g like the masks."""
-    if "_nbrs" not in g.__dict__:
-        g.__dict__["_nbrs"] = tuple(tuple(u for u in range(g.n) if m >> u & 1)
-                                    for m in adjacency_masks(g))
-    return g.__dict__["_nbrs"]
+    """Per-vertex ascending neighbor tuples, cached on g."""
+    return _cached(g, _neighbors)
 
 
 def is_cubic(g: Graph) -> bool:
@@ -203,10 +217,6 @@ def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"cycle needs >= 3 vertices, got {n}")
     return build(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete(n: int) -> Graph:
-    return build(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def k33() -> Graph:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 
-from .canon import _labelling_map, automorphism_group, canonical_form, isomorphism
+from .canon import automorphism_group, isomorphism
 from .construction import (
     StructureError,
     bridge_census,
@@ -85,19 +85,11 @@ def _marked_edges_on(g: Graph) -> tuple[list[tuple[int, int]], PermGroup]:
     """Marked edges transported onto a copy g of the identified graph, and
     Aut(g), from one canonical search per graph."""
     base = goedgebeur_graph()
-    marked = marked_edges(base).all
-    if g == base:
-        return list(marked), automorphism_group(g)
-    cf_base, cf = canonical_form(base), canonical_form(g)
-    if cf.certificate != cf_base.certificate:
+    phi = isomorphism(base, g)
+    if phi is None:
         raise StructureError("structure analysis needs the identified graph")
-    phi = _labelling_map(cf_base.order, cf.order, base.edges, set(g.edges))
-
-    def move(edge):
-        u, v = phi[edge[0]], phi[edge[1]]
-        return (u, v) if u < v else (v, u)
-
-    return [move(x) for x in marked], cf.group
+    moved = [tuple(sorted((phi[u], phi[v]))) for u, v in marked_edges(base).all]
+    return moved, automorphism_group(g)
 
 
 def aut_structure(g: Graph | None = None) -> dict:

@@ -335,7 +335,7 @@ class TestIsomorphism:
         for u, v in g.edges:
             assert tuple(sorted((phi[u], phi[v]))) in h_edges
 
-    def test_builds_no_stabilizer_chain(self, monkeypatch):
+    def test_builds_no_stabilizer_chain(self, fresh_goedgebeur, monkeypatch):
         """An isomorphism test reads no automorphism group, so it adds no
         element to a stabilizer chain; its mapping is the one the two
         canonical labellings give."""
@@ -343,10 +343,8 @@ class TestIsomorphism:
             raise AssertionError("isomorphism built a stabilizer chain")
 
         tutte_8_cage = lcf([-13, -9, 7, -7, 9, 13], 5)
-        # A fresh copy of the join, whose shared form may be cached already.
-        join = goedgebeur_graph()
-        graphs = (heawood(), tutte_8_cage, build(join.n, join.edges), build(12, []))
-        # Patched only now: the join comes from the census, which reads groups.
+        graphs = (heawood(), tutte_8_cage, fresh_goedgebeur, build(12, []))
+        # Patched only now: the census behind the fixture reads groups.
         monkeypatch.setattr(PermGroup, "add", no_chain)
         rng = random.Random(9)
         for g in graphs:

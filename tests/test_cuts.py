@@ -17,7 +17,7 @@ import networkx as nx
 import pytest
 
 from levibridge import cuts
-from levibridge.construction import bridge_census, bridge_graph, goedgebeur_graph
+from levibridge.construction import bridge_census, bridge_graph
 from levibridge.cuts import (
     _CHORDLESS_CAP,
     CutCertificate,
@@ -31,7 +31,6 @@ from levibridge.graphs import (
     GraphError,
     build,
     graph6_decode,
-    complete,
     cycle,
     gp,
     heawood,
@@ -175,7 +174,8 @@ def _oracle_graphs():
     each with the size of the cut it was `_joined` across (None if not joined)."""
     rng = random.Random(20220)
     specs = [(None, n, _random_cubic(rng, n)) for n in (6, 8, 10, 12, 14) for _ in range(4)]
-    specs += [(None, g.n, list(g.edges)) for g in (complete(4), k33(), petersen(), gp(6, 2),
+    k4 = build(4, itertools.combinations(range(4), 2))
+    specs += [(None, g.n, list(g.edges)) for g in (k4, k33(), petersen(), gp(6, 2),
                                                    gp(7, 2), heawood())]
     for cut_size, sizes in ((1, [(4, 4), (4, 6), (6, 6), (4, 8)]),
                             (2, [(4, 4), (4, 6), (6, 6), (4, 8), (6, 8), (4, 10)]),
@@ -271,12 +271,10 @@ class TestCyclicEdgeConnectivity:
             values.add(value)
         assert {None, 1, 2, 3, 4, 5, 6} <= values
 
-    def test_goedgebeur_graph_takes_at_most_48_flows(self, flows):
+    def test_goedgebeur_graph_takes_at_most_48_flows(self, fresh_goedgebeur, flows):
         # The graph has 288 vertex-disjoint pairs of chordless cycles; the
-        # search stops after 3 packed sources. A fresh copy, because the
-        # shared graph may already carry a cached search.
-        g = goedgebeur_graph()
-        assert cyclic_edge_connectivity(build(g.n, g.edges)) == 6
+        # search stops after 3 packed sources.
+        assert cyclic_edge_connectivity(fresh_goedgebeur) == 6
         assert 0 < len(flows) <= 48
 
     def test_certify_pool_takes_at_most_11000_flows(self, flows):
@@ -290,7 +288,7 @@ class TestCyclicEdgeConnectivity:
 
     def test_no_two_disjoint_cycles(self):
         # K4 and K3,3 are too small to hold two vertex-disjoint cycles.
-        assert cyclic_edge_connectivity(complete(4)) is None
+        assert cyclic_edge_connectivity(build(4, itertools.combinations(range(4), 2))) is None
         assert cyclic_edge_connectivity(k33()) is None
 
     def test_two_triangles_joined_by_bridgeless_gadget(self):
@@ -311,7 +309,8 @@ class TestCyclicEdgeConnectivity:
 
 class TestEssentially4EdgeConnected:
     def test_k4_and_k33_hold(self):
-        for g in (complete(4), k33(), petersen(), heawood(), pappus(), gp(60, 1)):
+        k4 = build(4, itertools.combinations(range(4), 2))
+        for g in (k4, k33(), petersen(), heawood(), pappus(), gp(60, 1)):
             ok, cert = is_essentially_4_edge_connected(g)
             assert ok and cert is None
 

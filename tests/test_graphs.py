@@ -4,15 +4,19 @@ The codec is tested two ways: against networkx's encoder/decoder as an
 independent reference, and by randomized/property-based round-trips.
 """
 
+import dataclasses
 import gc
 import random
 import weakref
+from collections import Counter
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levibridge import canon, cuts, graphs
+from levibridge.canon import canonical_form
 from levibridge.graphs import (
     Graph6Error,
     GraphError,
@@ -36,6 +40,8 @@ from levibridge.graphs import (
     prism,
     shortest_cycle,
 )
+from levibridge.survey import graph_properties
+from levibridge.twofactors import pseudo_2fi
 
 
 def _random_graph(rng: random.Random, n: int):
@@ -146,6 +152,23 @@ class TestBuild:
         del g
         gc.collect()
         assert ref() is None
+
+    def test_every_layer_caches_through_the_one_helper(self):
+        """After the property battery, two colourings, the parity report and
+        a neighbour lookup, the graph carries one attribute besides its
+        fields: the cache `graphs._cached` keeps, holding all five."""
+        g = petersen()
+        graph_properties(g)
+        canonical_form(g)
+        canonical_form(g, [range(5), range(5, 10)])
+        pseudo_2fi(g)
+        g.neighbors(0)
+        fields = {f.name for f in dataclasses.fields(g)}
+        assert fields == {"n", "edges", "labels"}
+        (extra,) = set(vars(g)) - fields
+        assert Counter(make for make, _ in vars(g)[extra]) == {
+            graphs._masks: 1, graphs._neighbors: 1, canon._search_form: 2, cuts._cyclic_cut: 1}
+        assert adjacency_masks(g) is adjacency_masks(g)
 
 
 def _girth_oracle(g):

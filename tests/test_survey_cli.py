@@ -113,15 +113,12 @@ class TestAutStructure:
         report = aut_structure(relabeled)
         assert report["all_ok"]
 
-    def test_one_canonical_search_per_graph(self, monkeypatch):
+    def test_one_canonical_search_per_graph(self, fresh_goedgebeur, monkeypatch):
         # The census searched the identified graph's class already, but keeps
         # only its certificate and |Aut|: the battery searches each graph
-        # once, and a graph searched before, not at all. A fresh copy of the
-        # identified graph stands in for it, whose shared form earlier tests
-        # may have cached.
-        base = goedgebeur_graph()
-        fresh = build(base.n, base.edges, base.labels)
-        relabeled = build(base.n, [(29 - u, 29 - v) for u, v in base.edges])
+        # once, and a graph searched before, not at all.
+        fresh = fresh_goedgebeur
+        relabeled = build(fresh.n, [(29 - u, 29 - v) for u, v in fresh.edges])
         monkeypatch.setattr(survey, "goedgebeur_graph", lambda: fresh)
         searched = []
 

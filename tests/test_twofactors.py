@@ -28,7 +28,6 @@ from levibridge.graphs import (
     adjacency_masks,
     bipartition,
     build,
-    complete,
     cycle,
     gp,
     heawood,
@@ -253,7 +252,7 @@ def _no_two_factor_gadget():
 
 
 CUBIC_CORPUS = {
-    "k4": complete(4),
+    "k4": build(4, itertools.combinations(range(4), 2)),
     "k33": k33(),
     "prism": prism(),
     "cube": gp(4, 1),
@@ -417,7 +416,7 @@ class TestFrontierHistogram:
         graphs += [gp(n, 1) for n in range(6, 21)]
         graphs += [lcf([m], 2 * m) for m in range(12, 21)]  # Moebius ladders
         graphs += [heawood(), pappus()]  # AllOdd, which none of the others are
-        k4 = complete(4).edges
+        k4 = build(4, itertools.combinations(range(4), 2)).edges
         graphs += [build(8, list(k4) + [(u + 4, v + 4) for u, v in k4]),
                    build(0, []), _no_two_factor_gadget()]
         statuses = set()
