@@ -4,17 +4,19 @@ The search refines an ordered partition to equitability (neighbor-count
 splitting; a splitter only touches the cells that meet its neighbourhood,
 and a split queues every fragment but the last, which splits nothing),
 individualizes vertices from the first largest cell, and keeps the least
-leaf key (refinement path, certificate). Children are visited in vertex
-order and refined only when entered, after the orbit test: the found
-automorphisms that fix the individualized vertices skip a child in the
-orbit of one already searched. Traces prune branches that cannot win, and
-automorphisms fall out whenever two leaves carry equal keys; each one found
-is kept in a plain list, and the stabilizer chain of the group they
-generate is built only when `CanonicalForm.group` is first read, so an
-isomorphism test builds none. A leaf equal to the first leaf backjumps to
-the node where the two paths diverge, as in nauty (McKay & Piperno,
-"Practical graph isomorphism, II", 2014), since the automorphism just found
-maps the first path's subtree onto the rest of the current one.
+leaf key: the refinement path, then the graph6 bytes of the graph the leaf
+relabels (`graphs._graph6`). The best leaf's bytes are the certificate.
+Children are visited in vertex order and refined only when entered, after
+the orbit test: the found automorphisms that fix the individualized
+vertices skip a child in the orbit of one already searched. Traces prune
+branches that cannot win, and automorphisms fall out whenever two leaves
+carry equal keys; each one found is kept in a plain list, and the
+stabilizer chain of the group they generate is built only when
+`CanonicalForm.group` is first read, so an isomorphism test builds none. A
+leaf equal to the first leaf backjumps to the node where the two paths
+diverge, as in nauty (McKay & Piperno, "Practical graph isomorphism, II",
+2014), since the automorphism just found maps the first path's subtree onto
+the rest of the current one.
 
 None of this changes the result: the least key does not depend on the
 order of the search, the labelling returned is the least vertex sequence
@@ -32,31 +34,28 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, _cached, adjacency_masks, build, graph6_encode
+from .graphs import Graph, GraphError, _cached, _graph6, _mask, adjacency_masks, graph6_decode
 from .groups import PermGroup, _orbit
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    graph: Graph
-    certificate: bytes
+    certificate: bytes  # the canonical graph's graph6 bytes
     order: tuple[int, ...]  # order[p] = original vertex at canonical position p
     color_sizes: tuple[int, ...]
     # Every automorphism the same search found, in the order it found them.
     automorphisms: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @functools.cached_property
+    def graph(self) -> Graph:
+        """The canonical graph, decoded from the certificate on first read."""
+        return graph6_decode(self.certificate)
+
+    @functools.cached_property
     def group(self) -> PermGroup:
         """The group the found automorphisms generate; its stabilizer chain
         is built on first read, and elements close lazily."""
-        return PermGroup(self.graph.n, self.automorphisms)
-
-
-def _mask(cell) -> int:
-    m = 0
-    for v in cell:
-        m |= 1 << v
-    return m
+        return PermGroup(len(self.order), self.automorphisms)
 
 
 def _labelling_map(lab_a, lab_b, edges, target_edges) -> tuple[int, ...]:
@@ -131,7 +130,6 @@ class _Search:
         self.adj = adjacency_masks(g)
         self.edges = g.edges
         self.edge_set = set(g.edges)
-        self.tri = self.n * (self.n - 1) // 2
         self.best = None  # (path, cert, labeling)
         self.first = None  # (path, cert, labeling, prefix) of the first leaf
         self.autos = []  # every automorphism found, in order
@@ -139,19 +137,12 @@ class _Search:
         inv = (tuple(len(c) for c in root), trace)
         self._node(root, (inv,), ())
 
-    def _leaf_cert(self, cells) -> tuple[int, tuple[int, ...]]:
+    def _leaf_cert(self, cells) -> tuple[bytes, tuple[int, ...]]:
         lab = tuple(c[0] for c in cells)
         pos = [0] * self.n
         for p, v in enumerate(lab):
             pos[v] = p
-        cert = 0
-        top = self.tri - 1
-        for u, v in self.edges:
-            i, j = pos[u], pos[v]
-            if i > j:
-                i, j = j, i
-            cert |= 1 << (top - (j * (j - 1) // 2 + i))
-        return cert, lab
+        return _graph6(self.n, [(pos[u], pos[v]) for u, v in self.edges]), lab
 
     def _record_auto(self, lab_a, lab_b):
         if lab_a != lab_b:
@@ -243,15 +234,8 @@ def _normalize_cells(g: Graph, cells) -> tuple[tuple[int, ...], ...]:
 
 
 def _search_form(g: Graph, cells) -> CanonicalForm:
-    search = _Search(g, cells)
-    lab = search.best[2]
-    pos = [0] * g.n
-    for p, v in enumerate(lab):
-        pos[v] = p
-    canon = build(g.n, [(pos[u], pos[v]) for u, v in g.edges])
-    return CanonicalForm(
-        canon, graph6_encode(canon), lab, tuple(len(c) for c in cells), tuple(search.autos)
-    )
+    search = _Search(g, cells)  # best = (path, certificate, labelling)
+    return CanonicalForm(*search.best[1:], tuple(len(c) for c in cells), tuple(search.autos))
 
 
 def canonical_form(g: Graph, cells=None) -> CanonicalForm:

@@ -113,8 +113,9 @@ def _cmd_p2fi(args) -> int:
     for g in _read_graphs(args.file):
         report = pseudo_2fi(g)
         print(json.dumps({
+            "schema": 2,
             "matching_count": report.matching_count,
-            "cycle_counts": list(report.cycle_counts),
+            "histogram": [list(bucket) for bucket in report.histogram],
             "status": report.status,
         }))
     return 0

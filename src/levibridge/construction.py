@@ -17,9 +17,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .canon import CanonicalForm, _mask, automorphism_group, canonical_form
+from .canon import CanonicalForm, automorphism_group, canonical_form
 from .graphs import (
     Graph,
+    _mask,
     adjacency_masks,
     bipartition,
     build,
@@ -236,8 +237,9 @@ def bridge_join(
     return config, g
 
 
+@functools.cache
 def bridge_graph(spec: BridgeSpec) -> Graph:
-    """Levi graph of the joined configuration for one spec."""
+    """Levi graph of the joined configuration for one spec, built once."""
     return bridge_join(f_residue(), mk_residue(), spec)[1]
 
 

@@ -8,6 +8,7 @@ in equality, hashing or encoding.
 
 from __future__ import annotations
 
+import binascii
 import re
 from dataclasses import dataclass, field
 
@@ -73,6 +74,13 @@ def _cached(g: Graph, make, *args):
     if key not in cache:
         cache[key] = make(g, *args)
     return cache[key]
+
+
+def _mask(vertices) -> int:
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
 
 
 def _masks(g: Graph) -> tuple[int, ...]:
@@ -306,29 +314,34 @@ def _g6_bytes_for_n(n: int) -> bytes:
     raise GraphError(f"graph6 supports n <= 258047, got {n}")
 
 
-def graph6_encode(g: Graph) -> bytes:
-    """Encode as graph6: header bytes for n, then the upper triangle.
+_SIX_BITS = bytes.maketrans(  # base64 digit d -> graph6 byte d + 63
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127)))
 
-    Bits run column by column: (0,1), (0,2), (1,2), (0,3), ... with 1 for an
-    edge, padded with zeros to a multiple of 6, each group emitted as
-    value + 63.
+
+def _graph6(n: int, pairs) -> bytes:
+    """graph6 bytes of the graph on 0..n-1 with these vertex pairs as edges.
+
+    The header for n precedes the upper triangle: pair (i, j), i < j, is bit
+    j(j-1)/2 + i, the first pair the highest. The bits are set in zeroed
+    whole base64 quanta (24 bits), which base64 cuts into six-bit groups,
+    each emitted as value + 63. For one n the bytes sort as the bits do.
     """
-    n = g.n
-    out = bytearray(_g6_bytes_for_n(n))
-    present = set(g.edges)
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = acc << 1 | ((i, j) in present)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+    size = (n * (n - 1) // 2 + 5) // 6
+    bits = bytearray(-(-size // 4) * 3)
+    for i, j in pairs:
+        if i > j:
+            i, j = j, i
+        k = j * (j - 1) // 2 + i
+        bits[k >> 3] |= 128 >> (k & 7)
+    body = binascii.b2a_base64(bits, newline=False)
+    del bits  # so that no more than two copies of the line are alive at once
+    body = body.translate(_SIX_BITS)
+    return _g6_bytes_for_n(n) + memoryview(body)[:size]
+
+
+def graph6_encode(g: Graph) -> bytes:
+    """Encode as graph6 (see `_graph6`)."""
+    return _graph6(g.n, g.edges)
 
 
 def graph6_decode(data: bytes | str) -> Graph:

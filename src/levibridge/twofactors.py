@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, _neighbor_tuples, adjacency_masks, bfs_layers
+from .graphs import Graph, GraphError, _cached, _neighbor_tuples, adjacency_masks, bfs_layers
 
 ALL_ODD = "AllOdd"
 ALL_EVEN = "AllEven"
@@ -190,4 +190,4 @@ def pseudo_2fi(g: Graph) -> TwoFactorReport:
         if m.bit_count() != 3:
             raise GraphError("the 2-factor parity report needs a cubic graph; "
                              f"vertex {v} has degree {m.bit_count()}")
-    return TwoFactorReport(_frontier_histogram(g))
+    return TwoFactorReport(_cached(g, _frontier_histogram))

@@ -35,6 +35,7 @@ from levibridge.graphs import (
     build,
     cycle,
     gp,
+    graph6_decode,
     graph6_encode,
     heawood,
     k33,
@@ -302,6 +303,15 @@ class TestFormCache:
                 assert (cf.certificate, cf.order, cf.group.order) \
                     == (fresh.certificate, fresh.order, fresh.group.order), g
             assert canonical_form(g, (iter(c) for c in colors)) is canonical_form(g, colors)
+
+    def test_canonical_graph_is_decoded_on_first_read(self):
+        """The search keeps only the certificate; the canonical graph is
+        decoded from it when first read, then kept on the form."""
+        g = _shuffle(pappus(), random.Random(5))
+        cf = canonical_form(g)
+        assert "graph" not in vars(cf)
+        assert cf.graph == graph6_decode(cf.certificate) and cf.graph is cf.graph
+        assert isomorphism(g, cf.graph) is not None
 
     def test_colorings_are_cached_apart(self):
         """One graph searched uncolored, then under two colorings of equal

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levibridge import canon, cuts, graphs
+from levibridge import canon, cuts, graphs, twofactors
 from levibridge.canon import canonical_form
 from levibridge.graphs import (
     Graph6Error,
@@ -72,9 +72,13 @@ class TestGraph6:
             assert graph6_decode(graph6_encode(g)) == g
 
     def test_matches_networkx_on_random_graphs(self):
+        """Random orders, then the ends of the one-byte header (0-2, 62, 63)
+        and orders whose triangle ends a 24-bit base64 quantum after 4, 1, 2
+        or 3 six-bit groups (n(n-1)/2 = 0, 6, 12, 18 mod 24)."""
         rng = random.Random(99)
-        for _ in range(120):
-            g = _random_graph(rng, rng.randint(1, 34))
+        boundary = [0, 1, 2, 62, 63, 16, 33, 48, 4, 13, 36, 9, 24, 25, 12, 21, 28]
+        for n in [rng.randint(1, 34) for _ in range(120)] + boundary:
+            g = _random_graph(rng, n)
             mine = graph6_encode(g)
             theirs = nx.to_graph6_bytes(_to_nx(g), header=False).strip()
             assert mine == theirs
@@ -156,7 +160,7 @@ class TestBuild:
     def test_every_layer_caches_through_the_one_helper(self):
         """After the property battery, two colourings, the parity report and
         a neighbour lookup, the graph carries one attribute besides its
-        fields: the cache `graphs._cached` keeps, holding all five."""
+        fields: the cache `graphs._cached` keeps, holding all six."""
         g = petersen()
         graph_properties(g)
         canonical_form(g)
@@ -167,7 +171,8 @@ class TestBuild:
         assert fields == {"n", "edges", "labels"}
         (extra,) = set(vars(g)) - fields
         assert Counter(make for make, _ in vars(g)[extra]) == {
-            graphs._masks: 1, graphs._neighbors: 1, canon._search_form: 2, cuts._cyclic_cut: 1}
+            graphs._masks: 1, graphs._neighbors: 1, canon._search_form: 2, cuts._cyclic_cut: 1,
+            twofactors._frontier_histogram: 1}
         assert adjacency_masks(g) is adjacency_masks(g)
 
 

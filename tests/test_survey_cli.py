@@ -320,6 +320,44 @@ def test_paper_commands_print_the_pinned_bytes(name, args):
     assert out.stdout == (PAPER / f"{name}.out").read_bytes()
 
 
+# Runs a CLI command in a cold process, counting canonical searches, 2-factor
+# DPs and bridge joins, and prints [exit status, searches, DPs, joins].
+_COUNT_WORK = """
+import contextlib, io, json, sys
+from levibridge import canon, cli, construction, twofactors
+
+counts = [0, 0, 0]
+
+def counted(i, fn):
+    def wrapper(*args):
+        counts[i] += 1
+        return fn(*args)
+    return wrapper
+
+canon._Search = counted(0, canon._Search)
+twofactors._frontier_histogram = counted(1, twofactors._frontier_histogram)
+construction.bridge_join = counted(2, construction.bridge_join)
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(sys.argv[1:])
+print(json.dumps([status, *counts]))
+"""
+
+
+@pytest.mark.parametrize("args, work", [
+    (["gen", "goedgebeur"], [18, 1, 17]),
+    (["survey", "--p2fi"], [18, 17, 17]),
+    (["refute"], [18, 1, 17]),
+    (["aut", "--structure"], [18, 1, 17]),
+])
+def test_paper_commands_compute_each_answer_once(args, work):
+    """One search per distinct graph (the 17 census classes and W's hub
+    graph), one DP per graph asked about and one join per spec."""
+    out = subprocess.run([sys.executable, "-c", _COUNT_WORK, *args],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [0, *work]
+
+
 class TestCli:
     def test_gen_goedgebeur(self):
         out = _cli("gen", "goedgebeur")
@@ -382,8 +420,9 @@ class TestCli:
         assert out.returncode == 0
         report = json.loads(out.stdout)
         assert report == {
+            "schema": 2,
             "matching_count": 6,
-            "cycle_counts": [1, 1, 1, 1, 1, 1],
+            "histogram": [[1, 6]],
             "status": "AllOdd",
         }
 
