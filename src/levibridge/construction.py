@@ -238,9 +238,14 @@ def bridge_join(
 
 
 @functools.cache
+def _join(spec: BridgeSpec) -> tuple[Configuration, Graph]:
+    """The configuration and Levi graph of the join for one spec, built once."""
+    return bridge_join(f_residue(), mk_residue(), spec)
+
+
 def bridge_graph(spec: BridgeSpec) -> Graph:
-    """Levi graph of the joined configuration for one spec, built once."""
-    return bridge_join(f_residue(), mk_residue(), spec)[1]
+    """Levi graph of the joined configuration for one spec (see `_join`)."""
+    return _join(spec)[1]
 
 
 @dataclass(frozen=True)
@@ -397,7 +402,7 @@ def goedgebeur_graph() -> Graph:
 
 def goedgebeur_configuration() -> Configuration:
     """The 15-point, 15-line configuration underlying the identified graph."""
-    return bridge_join(f_residue(), mk_residue(), identify_goedgebeur()[0])[0]
+    return _join(identify_goedgebeur()[0])[0]
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 Vertices are 0..n-1. Edges are stored as a sorted tuple of (u, v) pairs with
 u < v, so two graphs compare equal iff they have the same order and edge set.
 An optional label table maps vertices to display strings; it never takes part
-in equality, hashing or encoding.
+in equality, hashing or encoding. The graph6 codec's upper-triangle bit
+layout is written once, in `_graph6`, and `graph6_decode` reads it back.
 """
 
 from __future__ import annotations
 
 import binascii
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -345,7 +347,8 @@ def graph6_encode(g: Graph) -> bytes:
 
 
 def graph6_decode(data: bytes | str) -> Graph:
-    """Decode one graph6 line. Labels are not part of the format."""
+    """Decode one graph6 line: the inverse of `_graph6`, whose docstring has
+    the bit layout. Labels are not part of the format."""
     if isinstance(data, str):
         try:
             data = data.encode("ascii")
@@ -356,50 +359,32 @@ def graph6_decode(data: bytes | str) -> Graph:
         data = data[10:]
     if not data:
         raise Graph6Error("empty graph6 input", 0)
-    pos = 0
-    if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
-            raise Graph6Error("graph6 8-byte vertex counts not supported", 1)
-        if len(data) < 4:
-            raise Graph6Error("truncated graph6 vertex count", len(data))
-        vals = []
-        for pos in range(1, 4):
-            b = data[pos]
-            if not (63 <= b <= 126):
-                raise Graph6Error(f"byte {b} outside graph6 range", pos)
-            vals.append(b - 63)
-        n = vals[0] << 12 | vals[1] << 6 | vals[2]
-        if n <= 62:
-            raise Graph6Error(f"non-minimal multibyte count {n}", 1)
-        pos = 4
-    else:
-        b = data[0]
-        if not (63 <= b <= 126):
-            raise Graph6Error(f"byte {b} outside graph6 range", 0)
-        n = b - 63
-        pos = 1
+    if data[:2] == b"~~":
+        raise Graph6Error("graph6 8-byte vertex counts not supported", 1)
+    pos = 4 if data[0] == 126 else 1
+    if len(data) < pos:
+        raise Graph6Error("truncated graph6 vertex count", len(data))
+    bad = re.match(rb"[?-~]*", data).end()  # the first byte outside graph6's range, if any
+    if bad < pos:
+        raise Graph6Error(f"byte {data[bad]} outside graph6 range", bad)
+    n = data[0] - 63 if pos == 1 else (data[1] - 63) << 12 | (data[2] - 63) << 6 | data[3] - 63
+    if data[:pos] != _g6_bytes_for_n(n):
+        raise Graph6Error(f"non-minimal multibyte count {n}", 1)
     need = n * (n - 1) // 2
-    body = data[pos:]
-    if len(body) != (need + 5) // 6:
-        raise Graph6Error(
-            f"graph6 body for n={n} needs {(need + 5) // 6} bytes, got {len(body)}",
-            pos,
-        )
+    size = (need + 5) // 6
+    if len(data) - pos != size:
+        raise Graph6Error(f"graph6 body for n={n} needs {size} bytes, got {len(data) - pos}", pos)
+    if bad < len(data):
+        raise Graph6Error(f"byte {data[bad]} outside graph6 range", bad)
+    if data[-1] - 63 & (1 << 6 * size - need) - 1:  # the bits past the triangle
+        raise Graph6Error("nonzero padding bits", len(data) - 1)
     edges = []
-    i, j = 0, 1  # the vertex pair of the current byte's first bit
-    for off, b in enumerate(body):
-        if not (63 <= b <= 126):
-            raise Graph6Error(f"byte {b} outside graph6 range", pos + off)
-        x = b - 63
-        for k in range(6 if x else 0):  # bit k: pair (i + k, j), carried into later columns
-            if x >> (5 - k) & 1:
-                u, v = i + k, j
-                while u >= v:
-                    u, v = u - v, v + 1
-                if v >= n:
-                    raise Graph6Error("nonzero padding bits", pos + len(body) - 1)
-                edges.append((u, v))
-        i += 6
-        while i >= j:
-            i, j = i - j, j + 1
+    for group in re.compile(rb"[^?]").finditer(data, pos):  # the six-bit groups with a bit set
+        x, last = data[group.start()] - 63, 6 * (group.start() - pos) + 5
+        while x:
+            b = x.bit_length() - 1  # bit k = last - b of the triangle
+            x ^= 1 << b
+            k = last - b
+            j = (math.isqrt(8 * k + 1) + 1) // 2  # the column: j(j-1)/2 <= k < j(j+1)/2
+            edges.append((k - j * (j - 1) // 2, j))
     return build(n, edges)

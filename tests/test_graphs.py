@@ -61,6 +61,112 @@ def _to_nx(g):
     return h
 
 
+def _bytewise_graph6_decode(data: bytes | str):
+    """The decoder `graph6_decode` replaced, kept verbatim as its oracle: a
+    Python loop over the body bytes, each set bit carried from its byte's
+    first vertex pair to its own."""
+    if isinstance(data, str):
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6Error("non-ASCII character in graph6 input", exc.start) from None
+    data = data.rstrip(b"\r\n")
+    if data.startswith(b">>graph6<<"):
+        data = data[10:]
+    if not data:
+        raise Graph6Error("empty graph6 input", 0)
+    pos = 0
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise Graph6Error("graph6 8-byte vertex counts not supported", 1)
+        if len(data) < 4:
+            raise Graph6Error("truncated graph6 vertex count", len(data))
+        vals = []
+        for pos in range(1, 4):
+            b = data[pos]
+            if not (63 <= b <= 126):
+                raise Graph6Error(f"byte {b} outside graph6 range", pos)
+            vals.append(b - 63)
+        n = vals[0] << 12 | vals[1] << 6 | vals[2]
+        if n <= 62:
+            raise Graph6Error(f"non-minimal multibyte count {n}", 1)
+        pos = 4
+    else:
+        b = data[0]
+        if not (63 <= b <= 126):
+            raise Graph6Error(f"byte {b} outside graph6 range", 0)
+        n = b - 63
+        pos = 1
+    need = n * (n - 1) // 2
+    body = data[pos:]
+    if len(body) != (need + 5) // 6:
+        raise Graph6Error(
+            f"graph6 body for n={n} needs {(need + 5) // 6} bytes, got {len(body)}",
+            pos,
+        )
+    edges = []
+    i, j = 0, 1  # the vertex pair of the current byte's first bit
+    for off, b in enumerate(body):
+        if not (63 <= b <= 126):
+            raise Graph6Error(f"byte {b} outside graph6 range", pos + off)
+        x = b - 63
+        for k in range(6 if x else 0):  # bit k: pair (i + k, j), carried into later columns
+            if x >> (5 - k) & 1:
+                u, v = i + k, j
+                while u >= v:
+                    u, v = u - v, v + 1
+                if v >= n:
+                    raise Graph6Error("nonzero padding bits", pos + len(body) - 1)
+                edges.append((u, v))
+        i += 6
+        while i >= j:
+            i, j = i - j, j + 1
+    return build(n, edges)
+
+
+@st.composite
+def _damaged_graph6_lines(draw):
+    """The graph6 line of a random graph on up to 70 vertices (so both header
+    forms occur), then at most one edit a broken writer or a damaged file
+    could make, as bytes or as text."""
+    n = draw(st.integers(min_value=0, max_value=70))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    line = bytearray(graph6_encode(_random_graph(random.Random(seed), n)))
+    head = 1 if n <= 62 else 4
+    at = draw(st.integers(min_value=0, max_value=len(line) - 1))
+    byte = draw(st.integers(min_value=0, max_value=255))
+    edit = draw(st.sampled_from(["none", "change", "drop", "append", "padding",
+                                 "long count", "tilde", "prefix", "line end"]))
+    if edit == "change":
+        line[at] = byte
+    elif edit == "drop":
+        del line[at]
+    elif edit == "append":
+        line.append(byte)
+    elif edit == "padding":  # set some of the low bits of the last six-bit group
+        line[-1] = 63 + ((line[-1] - 63) | byte & 63)
+    elif edit == "long count":  # the four-byte header, non-minimal when n <= 62
+        line[:head] = b"~" + bytes(63 + (n >> s & 63) for s in (12, 6, 0))
+    elif edit == "tilde":  # "~" and whatever follows: "~~", truncated, out of range
+        line[:head] = b"~" + draw(st.binary(max_size=4))
+    elif edit == "prefix":
+        line[:0] = b">>graph6<<"
+    elif edit == "line end":
+        line += draw(st.sampled_from([b"\n", b"\r\n", b"\n\n"]))
+    if draw(st.booleans()):  # as text, where a byte above 127 is a non-ASCII character
+        return line.decode("latin-1")
+    return bytes(line)
+
+
+def _decoded(decode, data):
+    """The graph decode returns, or the message and offset of its Graph6Error.
+    Any other exception propagates."""
+    try:
+        return decode(data)
+    except Graph6Error as exc:
+        return str(exc), exc.offset
+
+
 class TestGraph6:
     def test_k33_reference_bytes(self):
         assert graph6_encode(k33()) == b"EFz_"
@@ -116,7 +222,7 @@ class TestGraph6:
             assert text in str(err.value) and err.value.offset == offset, data
 
     def test_roundtrip_1200_vertex_prism(self):
-        """A 1200-vertex line decodes in well under a second, byte by byte."""
+        """A 1200-vertex line decodes in well under a second."""
         g = gp(600, 1)
         data = graph6_encode(g)
         assert graph6_decode(data) == g
@@ -125,6 +231,12 @@ class TestGraph6:
 
     def test_decode_accepts_prefix(self):
         assert graph6_decode(b">>graph6<<EFz_") == k33()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.binary(max_size=40), _damaged_graph6_lines()))
+    def test_decode_agrees_with_the_bytewise_decoder(self, data):
+        """graph6_decode against the byte-by-byte decoder it replaced."""
+        assert _decoded(graph6_decode, data) == _decoded(_bytewise_graph6_decode, data)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

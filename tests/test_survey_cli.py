@@ -348,6 +348,7 @@ print(json.dumps([status, *counts]))
     (["survey", "--p2fi"], [18, 17, 17]),
     (["refute"], [18, 1, 17]),
     (["aut", "--structure"], [18, 1, 17]),
+    (["config", "goedgebeur"], [18, 1, 17]),
 ])
 def test_paper_commands_compute_each_answer_once(args, work):
     """One search per distinct graph (the 17 census classes and W's hub
