@@ -32,19 +32,24 @@ vertices.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
-from .graphs import Graph, GraphError, _cached, _graph6, _mask, adjacency_masks, graph6_decode
+from .graphs import (Graph, GraphError, _cached, _graph6, _mask, _Record, adjacency_masks,
+                     graph6_decode)
 from .groups import PermGroup, _orbit
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    certificate: bytes  # the canonical graph's graph6 bytes
-    order: tuple[int, ...]  # order[p] = original vertex at canonical position p
-    color_sizes: tuple[int, ...]
-    # Every automorphism the same search found, in the order it found them.
-    automorphisms: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+class CanonicalForm(_Record):
+    """`certificate` is the canonical graph's graph6 bytes; `order[p]` is the
+    original vertex at canonical position p. `automorphisms`, every one the
+    same search found in the order it found them, is not compared."""
+
+    def __init__(self, certificate: bytes, order: tuple[int, ...], color_sizes: tuple[int, ...],
+                 automorphisms: tuple[tuple[int, ...], ...]):
+        super().__init__(certificate=certificate, order=order, color_sizes=color_sizes,
+                         automorphisms=automorphisms)
+
+    def _key(self):
+        return self.certificate, self.order, self.color_sizes
 
     @functools.cached_property
     def graph(self) -> Graph:

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .canon import CanonicalForm, automorphism_group, canonical_form
 from .graphs import (
     Graph,
     _mask,
+    _Record,
     adjacency_masks,
     bipartition,
     build,
@@ -58,8 +59,7 @@ PERMS4: tuple[tuple[int, int, int, int], ...] = tuple(
 _PERM4_RANK = {p: i for i, p in enumerate(PERMS4)}
 
 
-@dataclass(frozen=True)
-class BridgeSpec:
+class BridgeSpec(_Record):
     """A pair of permutations wiring open points to open lines.
 
     `alpha[i]` is the open-line slot of the first residue receiving open
@@ -67,13 +67,14 @@ class BridgeSpec:
     first residue attached to open line i of the second residue.
     """
 
-    alpha: tuple[int, int, int, int]
-    beta: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        for name, p in (("alpha", self.alpha), ("beta", self.beta)):
+    def __init__(self, alpha: tuple[int, int, int, int], beta: tuple[int, int, int, int]):
+        for name, p in (("alpha", alpha), ("beta", beta)):
             if tuple(sorted(p)) != (0, 1, 2, 3):
                 raise ValueError(f"{name} must be a permutation of 0..3, got {p}")
+        super().__init__(alpha=alpha, beta=beta)
+
+    def _key(self):
+        return self.alpha, self.beta
 
     @property
     def rank(self) -> int:
@@ -98,37 +99,37 @@ def all_bridge_specs() -> tuple[BridgeSpec, ...]:
     return tuple(BridgeSpec(a, b) for a in PERMS4 for b in PERMS4)
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(_Record):
     """A configuration with four point-line incidences removed.
 
-    The removed incidences leave four points and four lines of valency 2;
-    their slot orders (`open_points`, `open_lines`) are part of the residue.
-    `companion_points`, when set, lists for each open line the valency-3
-    point that stayed on it next to the removal.
+    The removed incidences, (point, line index) pairs, leave four points and
+    four lines of valency 2; their slot orders (`open_points`, `open_lines`)
+    are part of the residue. `companion_points`, when set, lists for each
+    open line the valency-3 point that stayed on it next to the removal.
     """
 
-    base: Configuration
-    removed: tuple[tuple[int, int], ...]  # (point, line index) pairs
-    open_points: tuple[int, int, int, int]
-    open_lines: tuple[int, int, int, int]
-    companion_points: tuple[int, int, int, int] | None = None
-
-    def __post_init__(self):
+    def __init__(self, base: Configuration, removed: tuple[tuple[int, int], ...],
+                 open_points: tuple[int, int, int, int], open_lines: tuple[int, int, int, int],
+                 companion_points: tuple[int, int, int, int] | None = None):
         incidences = {
-            (p, j) for j, line in enumerate(self.base.lines) for p in line
+            (p, j) for j, line in enumerate(base.lines) for p in line
         }
-        for pair in self.removed:
+        for pair in removed:
             if pair not in incidences:
                 raise ValueError(f"removed pair {pair} is not an incidence")
-        removed_points = sorted(p for p, _ in self.removed)
-        removed_lines = sorted(j for _, j in self.removed)
-        if removed_points != sorted(self.open_points):
+        removed_points = sorted(p for p, _ in removed)
+        removed_lines = sorted(j for _, j in removed)
+        if removed_points != sorted(open_points):
             raise ValueError("open points must be the points losing an incidence")
-        if removed_lines != sorted(self.open_lines):
+        if removed_lines != sorted(open_lines):
             raise ValueError("open lines must be the lines losing an incidence")
         if len(set(removed_points)) != 4 or len(set(removed_lines)) != 4:
             raise ValueError("removals must hit four distinct points and lines")
+        super().__init__(base=base, removed=removed, open_points=open_points,
+                         open_lines=open_lines, companion_points=companion_points)
+
+    def _key(self):
+        return self.base, self.removed, self.open_points, self.open_lines, self.companion_points
 
     def line_points(self, j: int) -> frozenset[int]:
         """Points remaining on line j after the removals."""
@@ -248,13 +249,10 @@ def bridge_graph(spec: BridgeSpec) -> Graph:
     return _join(spec)[1]
 
 
-@dataclass(frozen=True)
-class CensusClass:
-    """An isomorphism class among the 576 joins."""
+class CensusClass(namedtuple("CensusClass", "certificate aut_order specs")):
+    """An isomorphism class among the 576 joins; `specs` are in rank order."""
 
-    certificate: bytes
-    aut_order: int
-    specs: tuple[BridgeSpec, ...]  # in rank order
+    __slots__ = ()
 
     @property
     def representative(self) -> BridgeSpec:
@@ -405,8 +403,7 @@ def goedgebeur_configuration() -> Configuration:
     return _join(identify_goedgebeur()[0])[0]
 
 
-@dataclass(frozen=True)
-class MarkedEdges:
+class MarkedEdges(namedtuple("MarkedEdges", "e f m")):
     """The nine distinguished edges of the identified graph.
 
     `e` is the unique edge at distance two from all eight quadrilateral
@@ -417,9 +414,7 @@ class MarkedEdges:
     by vertex index. `all` lists e first, then f, then m.
     """
 
-    e: tuple[int, int]
-    f: tuple[tuple[int, int], ...]
-    m: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def all(self) -> tuple[tuple[int, int], ...]:

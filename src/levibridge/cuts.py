@@ -23,7 +23,7 @@ shortest cycles to every edge; it takes them from the graph layer's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import (Graph, GraphError, _cached, _neighbor_tuples, adjacency_masks,
                      components, is_cubic, shortest_cycle)
@@ -32,11 +32,8 @@ CYCLIC_MAX_VERTICES = 40  # the cyclic search's size limit (see cyclic_edge_conn
 _CHORDLESS_CAP = 9  # see cyclic_edge_connectivity for why this is exhaustive
 
 
-@dataclass(frozen=True)
-class CutCertificate:
-    cut: tuple[tuple[int, int], ...]
-    side_a: frozenset[int]
-    side_b: frozenset[int]
+# `cut`, a tuple of edges, separates the frozensets of vertices side_a and side_b.
+CutCertificate = namedtuple("CutCertificate", "cut side_a side_b")
 
 
 def _chordless_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:

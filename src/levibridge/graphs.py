@@ -12,7 +12,7 @@ from __future__ import annotations
 import binascii
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 class GraphError(ValueError):
@@ -30,14 +30,42 @@ class Graph6Error(GraphError):
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    edges: tuple[Edge, ...]
-    labels: dict[int, str] | None = field(default=None, compare=False)
+class _Record:
+    """Base of the immutable records that a named tuple cannot hold.
+
+    A subclass's __init__ hands its fields to this one, which sets each
+    once; assigning or deleting an attribute afterwards raises
+    AttributeError. Equality, hashing and repr read only `_key()`, so a
+    field it leaves out (labels, found automorphisms) is not compared. The
+    `__dict__` stays, for the per-graph cache and `cached_property`.
+    """
+
+    def __init__(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self._key())
+
+    def __repr__(self):
+        return type(self).__name__ + repr(self._key())
+
+
+class Graph(_Record):
+    def __init__(self, n: int, edges: tuple[Edge, ...], labels: dict[int, str] | None = None):
+        super().__init__(n=n, edges=edges, labels=labels)
+
+    def _key(self):
+        return self.n, self.edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return _neighbor_tuples(self)[v]
@@ -142,10 +170,7 @@ def components(adj) -> list[int]:
     return comps
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    side_a: frozenset[int]
-    side_b: frozenset[int]
+Bipartition = namedtuple("Bipartition", "side_a side_b")  # frozensets of vertices
 
 
 def bipartition(g: Graph) -> Bipartition | None:

@@ -10,10 +10,9 @@ girth at least six precisely because of linearity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .canon import automorphism_group, isomorphism
-from .graphs import Graph, build
+from .graphs import Graph, _Record, build
 
 
 class ConfigurationError(ValueError):
@@ -23,15 +22,15 @@ class ConfigurationError(ValueError):
     pair: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class Configuration:
-    n_points: int
-    lines: tuple[frozenset[int], ...]
-    point_labels: tuple[str, ...] | None = field(default=None, compare=False)
-    line_labels: tuple[str, ...] | None = field(default=None, compare=False)
+class Configuration(_Record):
+    def __init__(self, n_points: int, lines: tuple[frozenset[int], ...],
+                 point_labels: tuple[str, ...] | None = None,
+                 line_labels: tuple[str, ...] | None = None):
+        super().__init__(n_points=n_points, lines=lines, point_labels=point_labels,
+                         line_labels=line_labels)
 
-    def __hash__(self):
-        return hash((self.n_points, self.lines))
+    def _key(self):
+        return self.n_points, self.lines
 
     def lines_through(self, p: int) -> tuple[int, ...]:
         return tuple(i for i, ln in enumerate(self.lines) if p in ln)

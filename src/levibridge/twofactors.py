@@ -16,7 +16,7 @@ linearly in n, not with the number of 2-factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import Graph, GraphError, _cached, _neighbor_tuples, adjacency_masks, bfs_layers
 
@@ -26,8 +26,7 @@ MIXED = "Mixed"
 NO_TWO_FACTOR = "NoTwoFactor"
 
 
-@dataclass(frozen=True)
-class TwoFactorReport:
+class TwoFactorReport(namedtuple("TwoFactorReport", "histogram")):
     """Cycle-count histogram over the 2-factors of a cubic graph.
 
     `histogram` pairs each cycle count with the number of 2-factors that
@@ -36,7 +35,7 @@ class TwoFactorReport:
     number of 2-factors, and it is built only when asked for.
     """
 
-    histogram: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def matching_count(self) -> int:
