@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import functools
 
-from .graphs import (Graph, GraphError, _cached, _graph6, _mask, _Record, adjacency_masks,
-                     graph6_decode)
+from .graphs import Graph, GraphError, _cached, _graph6, _mask, _Record, adjacency_masks
 from .groups import PermGroup, _orbit
 
 
@@ -50,11 +49,6 @@ class CanonicalForm(_Record):
 
     def _key(self):
         return self.certificate, self.order, self.color_sizes
-
-    @functools.cached_property
-    def graph(self) -> Graph:
-        """The canonical graph, decoded from the certificate on first read."""
-        return graph6_decode(self.certificate)
 
     @functools.cached_property
     def group(self) -> PermGroup:

@@ -53,13 +53,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_graphs(path: str | None) -> list[Graph]:
-    if path in (None, "-"):
-        text = sys.stdin.read()
-    else:
-        # surrogateescape lets graph6_decode name the offset of a non-ASCII byte
-        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-            text = fh.read()
-    graphs = [graph6_decode(line) for line in text.splitlines() if line.strip()]
+    # A chunk ends at \n, and splitlines also ends a line at a lone \r. A line
+    # with a byte above 127 goes in as text, so graph6_decode names its offset.
+    with sys.stdin.buffer if path in (None, "-") else open(path, "rb") as fh:
+        graphs = [graph6_decode(line if line.isascii() else line.decode("latin-1"))
+                  for chunk in fh for line in chunk.splitlines() if line.strip()]
     if not graphs:
         raise Graph6Error("no graph6 input lines found", 0)
     return graphs
@@ -258,6 +256,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"levibridge: error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("levibridge: error: input too large for the recursive search", file=sys.stderr)
         return 1
 
 

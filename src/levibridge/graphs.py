@@ -248,12 +248,6 @@ def girth(g: Graph) -> int | None:
 # -- constructors ------------------------------------------------------------
 
 
-def cycle(n: int) -> Graph:
-    if n < 3:
-        raise GraphError(f"cycle needs >= 3 vertices, got {n}")
-    return build(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def k33() -> Graph:
     return build(6, [(i, 3 + j) for i in range(3) for j in range(3)])
 

@@ -69,8 +69,7 @@ def _orbit(seeds, gens, act) -> set:
     """Union of the seeds' orbits under x -> act(x, g), closed breadth first.
 
     One FIFO queue adds elements in the order a level-by-level frontier
-    would; a set's iteration order, which `order_profile` passes on, can
-    depend on the order of insertion.
+    would.
     """
     seen = set(seeds)
     queue = list(seen)
@@ -197,7 +196,8 @@ def is_normal(sub: PermGroup, group: PermGroup) -> bool:
 
 
 def order_profile(group: PermGroup) -> dict[int, int]:
-    return dict(Counter(perm_order(p) for p in group.elements))
+    """How many elements have each order, highest order first."""
+    return dict(sorted(Counter(perm_order(p) for p in group.elements).items(), reverse=True))
 
 
 def is_abelian(group: PermGroup) -> bool:

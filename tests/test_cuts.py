@@ -31,7 +31,6 @@ from levibridge.graphs import (
     GraphError,
     build,
     graph6_decode,
-    cycle,
     gp,
     heawood,
     k33,
@@ -297,7 +296,7 @@ class TestCyclicEdgeConnectivity:
 
     def test_preconditions(self):
         with pytest.raises(GraphError):
-            cyclic_edge_connectivity(cycle(6))  # not cubic
+            cyclic_edge_connectivity(build(6, [(i, (i + 1) % 6) for i in range(6)]))  # not cubic
         with pytest.raises(GraphError):
             cyclic_edge_connectivity(
                 build(8, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3),
@@ -406,7 +405,7 @@ class TestEssentially4EdgeConnected:
 
     def test_preconditions(self):
         with pytest.raises(GraphError):
-            is_essentially_4_edge_connected(cycle(6))
+            is_essentially_4_edge_connected(build(6, [(i, (i + 1) % 6) for i in range(6)]))
         with pytest.raises(GraphError):
             is_essentially_4_edge_connected(build(0, []))  # no vertices
 

@@ -4,8 +4,10 @@ CLI tests run the installed console script in a subprocess so argument
 parsing, exit codes, and stream handling are exercised end to end.
 """
 
+import io
 import itertools
 import json
+import random
 import re
 import subprocess
 import sys
@@ -140,6 +142,21 @@ class TestAutStructure:
     def test_rejects_foreign_graph(self):
         with pytest.raises(StructureError):
             aut_structure(heawood())
+
+    def test_report_depends_on_the_group_not_the_labelling(self):
+        """Only `marked_edges` names vertices: under 12 relabellings the
+        rest of the report, key order included, is the pinned one."""
+        g = goedgebeur_graph()
+        pinned = json.loads((PAPER / "aut_structure.out").read_bytes())
+        del pinned["marked_edges"]
+        forms = set()
+        for seed in range(12):
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            report = aut_structure(build(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+            del report["marked_edges"]
+            forms.add(json.dumps(report))
+        assert forms == {json.dumps(pinned)}
 
 
 def _relabelled_goedgebeur():
@@ -458,6 +475,10 @@ class TestCli:
         from levibridge.cli import main
 
         class Unread:
+            @property
+            def buffer(self):
+                raise AssertionError("iso read stdin")
+
             def read(self):
                 raise AssertionError("iso read stdin")
 
@@ -603,18 +624,90 @@ class TestCli:
 
     def test_structural_error_exits_2(self):
         # p2fi on a non-cubic graph is a structural failure, not usage.
-        from levibridge.graphs import cycle
-
-        out = _cli("p2fi", stdin=graph6_encode(cycle(6)).decode() + "\n")
+        hexagon = build(6, [(i, (i + 1) % 6) for i in range(6)])
+        out = _cli("p2fi", stdin=graph6_encode(hexagon).decode() + "\n")
         assert out.returncode == 2
 
     def test_p2fi_on_k3_names_the_report_and_the_degree(self, tmp_path, capsys):
         from levibridge.cli import main
-        from levibridge.graphs import cycle
 
         path = tmp_path / "k3.g6"
-        path.write_bytes(graph6_encode(cycle(3)) + b"\n")
+        path.write_bytes(graph6_encode(build(3, [(i, (i + 1) % 3) for i in range(3)])) + b"\n")
         assert main(["p2fi", str(path)]) == 2
         assert capsys.readouterr().err == (
             "levibridge: structural failure: the 2-factor parity report needs "
             "a cubic graph; vertex 0 has degree 2\n")
+
+    def test_a_search_too_deep_for_the_stack_exits_1(self, tmp_path):
+        """A recursion limit the search outgrows is refused input, not a
+        structural failure and not a traceback."""
+        path = tmp_path / "empty300.g6"
+        path.write_bytes(graph6_encode(build(300, [])) + b"\n")
+        script = ("import sys; from levibridge.cli import main; "
+                  "sys.setrecursionlimit(200); sys.exit(main(['aut', sys.argv[1]]))")
+        out = subprocess.run([sys.executable, "-c", script, str(path)],
+                             capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr == "levibridge: error: input too large for the recursive search\n"
+
+
+HEAWOOD, K33 = graph6_encode(heawood()), graph6_encode(k33())
+
+
+class TestGraph6Reader:
+    """The CLI reads graph6 as bytes, line by line, from a file or stdin."""
+
+    @staticmethod
+    def _aut(data: bytes, source: str, tmp_path, monkeypatch, capsys):
+        from levibridge.cli import main
+
+        if source == "stdin":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            status = main(["aut", "-"])
+        else:
+            path = tmp_path / "in.g6"
+            path.write_bytes(data)
+            status = main(["aut", str(path)])
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("data", [
+        HEAWOOD + b"\r\n" + K33 + b"\r\n",
+        HEAWOOD + b"\r" + K33 + b"\r",
+        HEAWOOD + b"\r" + K33,
+        b"\n \n" + HEAWOOD + b"\n\t\n\r\n\x0b\n" + K33 + b"\n  \n",
+    ], ids=["crlf", "lone-cr", "lone-cr-no-final-end", "blank-lines"])
+    def test_line_ends_and_blank_lines(self, data, source, tmp_path, monkeypatch, capsys):
+        assert self._aut(data, source, tmp_path, monkeypatch, capsys) \
+            == (0, '{"aut_order": 336}\n{"aut_order": 72}\n', "")
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("data, offset", [
+        (b"E\xc3\xa9z_\n", 1),
+        (HEAWOOD + b"\r\nEF\xffz_\n", 2),
+    ], ids=["utf-8-first-line", "byte-255-second-line"])
+    def test_a_non_ascii_byte_is_named_with_its_offset(self, data, offset, source, tmp_path,
+                                                       monkeypatch, capsys):
+        assert self._aut(data, source, tmp_path, monkeypatch, capsys) == (
+            1, "", "levibridge: input error: non-ASCII character in graph6 input "
+                   f"(byte offset {offset})\n")
+
+    def test_a_non_ascii_byte_on_the_real_stdin(self):
+        out = subprocess.run([sys.executable, "-m", "levibridge.cli", "aut", "-"],
+                             input=K33 + b"\r\nEF\xffz_\r\n", capture_output=True, timeout=60)
+        assert (out.returncode, out.stdout) == (1, b"")
+        assert out.stderr == (b"levibridge: input error: non-ASCII character in graph6 "
+                              b"input (byte offset 2)\n")
+
+    @pytest.mark.parametrize("sep", [0x0B, 0x0C, 0x1C, 0x1D, 0x1E])
+    def test_only_cr_and_lf_end_a_line(self, sep, tmp_path, monkeypatch, capsys):
+        """str.splitlines splits at these bytes too; the reader ends a line
+        only at \\r or \\n, so the byte stays in the line and is refused."""
+        first = self._aut(bytes([sep]) + K33 + b"\n", "file", tmp_path, monkeypatch, capsys)
+        assert first == (1, "", f"levibridge: input error: byte {sep} outside graph6 range "
+                                "(byte offset 0)\n")
+        inside = self._aut(K33 + bytes([sep]) + K33 + b"\n", "file", tmp_path, monkeypatch,
+                           capsys)
+        assert inside == (1, "", "levibridge: input error: graph6 body for n=6 needs 3 bytes, "
+                                 "got 8 (byte offset 1)\n")
