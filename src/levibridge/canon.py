@@ -1,22 +1,23 @@
 """Canonical labeling, isomorphism and automorphisms by individualization-refinement.
 
-The search refines an ordered partition to equitability (neighbor-count
-splitting; a splitter only touches the cells that meet its neighbourhood,
-and a split queues every fragment but the last, which splits nothing),
-individualizes vertices from the first largest cell, and keeps the least
-leaf key: the refinement path, then the graph6 bytes of the graph the leaf
-relabels (`graphs._graph6`). The best leaf's bytes are the certificate.
-Children are visited in vertex order and refined only when entered, after
-the orbit test: the found automorphisms that fix the individualized
-vertices skip a child in the orbit of one already searched. Traces prune
-branches that cannot win, and automorphisms fall out whenever two leaves
-carry equal keys; each one found is kept in a plain list, and the
-stabilizer chain of the group they generate is built only when
-`CanonicalForm.group` is first read, so an isomorphism test builds none. A
-leaf equal to the first leaf backjumps to the node where the two paths
-diverge, as in nauty (McKay & Piperno, "Practical graph isomorphism, II",
-2014), since the automorphism just found maps the first path's subtree onto
-the rest of the current one.
+Cells and splitters are vertex bitmasks. Refinement to equitability
+touches only the cells that meet a splitter's neighbourhood and counts
+only the vertices there; a one-vertex splitter, the first of every child,
+splits by mask operations alone, and a split queues every fragment but the
+last, which splits nothing. The search individualizes vertices of the
+first largest cell and keeps the least leaf key: the refinement path, then
+the graph6 bytes of the graph the leaf relabels (`graphs._graph6`). The
+best leaf's bytes are the certificate. Children are visited in ascending
+vertex order and refined only when entered, after the orbit test: the
+found automorphisms that fix the individualized vertices skip a child in
+the orbit of one already searched. Traces prune branches that cannot win,
+and automorphisms fall out whenever two leaves carry equal keys; each one
+found is kept in a plain list, and the stabilizer chain of the group they
+generate is built only when `CanonicalForm.group` is first read, so an
+isomorphism test builds none. A leaf equal to the first leaf backjumps to
+the node where the two paths diverge, as in nauty (McKay & Piperno,
+"Practical graph isomorphism, II", 2014), since the automorphism just
+found maps the first path's subtree onto the rest of the current one.
 
 None of this changes the result: the least key does not depend on the
 order of the search, the labelling returned is the least vertex sequence
@@ -71,13 +72,15 @@ def _labelling_map(lab_a, lab_b, edges, target_edges) -> tuple[int, ...]:
 
 
 def _refine(adj, cells, queue):
-    """Split cells by neighbor counts into queued splitter cells until stable.
+    """Split cells by neighbor counts into queued splitters until stable.
 
-    A splitter can only split cells that meet its neighbourhood, so a pass
-    counts in those alone and applies its splits after the pass; `pos` in
-    the trace is the index before the pass. Returns the refined ordered
-    partition and a trace of the splits made; the trace depends only on the
-    isomorphism type of the partitioned graph.
+    Cells and splitters are vertex bitmasks. A one-vertex splitter v splits
+    a cell C into C & ~adj[v] (count 0) and C & adj[v] (count 1) by mask
+    operations alone; a larger one counts only the vertices of C & hit, hit
+    being its neighbourhood, and the rest of C is the count-0 fragment.
+    Splits apply after the pass: `pos` in the trace is the index before it.
+    Returns the refined ordered partition and its trace of splits, which
+    depends only on the isomorphism type of the partitioned graph.
 
     A cell C split into fragments F1..Fk (in count order) queues F1..F(k-1)
     but not Fk, which would split nothing. By the time Fk would be popped:
@@ -95,31 +98,44 @@ def _refine(adj, cells, queue):
     a singleton no splitter splits anything, so the pass stops there.
     """
     cells = list(cells)
-    masks = [_mask(c) for c in cells]
     trace = []
     for splitter in queue:  # grows while cells split
         if len(cells) == len(adj):
             break
-        smask = hit = 0
-        for s in splitter:
-            smask |= 1 << s
-            hit |= adj[s]
         splits = []
-        for pos, cmask in enumerate(masks):
-            if not cmask & hit or len(cells[pos]) == 1:
-                continue
-            buckets: dict[int, list[int]] = {}
-            for v in cells[pos]:
-                buckets.setdefault((adj[v] & smask).bit_count(), []).append(v)
-            if len(buckets) > 1:
-                counts = sorted(buckets)
-                frags = [tuple(buckets[cnt]) for cnt in counts]
-                queue.extend(frags[:-1])  # frags[-1] splits nothing; see above
-                trace.append((pos, tuple(zip(counts, map(len, frags)))))
-                splits.append((pos, frags))
+        if not splitter & (splitter - 1):  # one vertex: counts are 0 and 1
+            hit = adj[splitter.bit_length() - 1]
+            for pos, cell in enumerate(cells):
+                inside = cell & hit
+                if inside and inside != cell:
+                    out = cell ^ inside
+                    queue.append(out)
+                    trace.append((pos, ((0, out.bit_count()), (1, inside.bit_count()))))
+                    splits.append((pos, (out, inside)))
+        else:
+            hit, rest = 0, splitter
+            while rest:
+                v = rest.bit_length() - 1
+                hit |= adj[v]
+                rest ^= 1 << v
+            for pos, cell in enumerate(cells):
+                inside = cell & hit
+                if not inside:
+                    continue
+                buckets = {0: cell ^ inside} if inside != cell else {}
+                while inside:  # count only the vertices the splitter reaches
+                    v = inside.bit_length() - 1
+                    inside ^= 1 << v
+                    k = (adj[v] & splitter).bit_count()
+                    buckets[k] = buckets.get(k, 0) | 1 << v
+                if len(buckets) > 1:
+                    counts = sorted(buckets)
+                    frags = [buckets[k] for k in counts]
+                    queue.extend(frags[:-1])  # frags[-1] splits nothing; see above
+                    trace.append((pos, tuple(zip(counts, map(int.bit_count, frags)))))
+                    splits.append((pos, frags))
         for pos, frags in reversed(splits):
             cells[pos:pos + 1] = frags
-            masks[pos:pos + 1] = map(_mask, frags)
     return cells, tuple(trace)
 
 
@@ -132,12 +148,13 @@ class _Search:
         self.best = None  # (path, cert, labeling)
         self.first = None  # (path, cert, labeling, prefix) of the first leaf
         self.autos = []  # every automorphism found, in order
-        root, trace = _refine(self.adj, cells, list(cells))
-        inv = (tuple(len(c) for c in root), trace)
+        masks = [_mask(c) for c in cells]
+        root, trace = _refine(self.adj, masks, list(masks))
+        inv = (tuple(c.bit_count() for c in root), trace)
         self._node(root, (inv,), ())
 
     def _leaf_cert(self, cells) -> tuple[bytes, tuple[int, ...]]:
-        lab = tuple(c[0] for c in cells)
+        lab = tuple(c.bit_length() - 1 for c in cells)
         pos = [0] * self.n
         for p, v in enumerate(lab):
             pos[v] = p
@@ -152,7 +169,7 @@ class _Search:
         return ref is None or path <= ref[0][: len(path)]
 
     def _node(self, cells, path, prefix):
-        """Search the subtree below `prefix`, children in vertex order.
+        """Search the subtree below `prefix`, children in ascending vertex order.
 
         Returns None, or the depth to backjump to. The returned labelling
         is the one children sorted by (inv, v) would give:
@@ -174,11 +191,7 @@ class _Search:
         ok_first = self.first is not None and path == self.first[0][: len(path)]
         if not ok_best and not ok_first:
             return None
-        target = None
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1 and (target is None or len(cell) > len(cells[target])):
-                target = idx
-        if target is None:
+        if len(cells) == self.n:  # discrete: a leaf
             cert, lab = self._leaf_cert(cells)
             key = (path, cert)
             if self.first is None:
@@ -194,6 +207,8 @@ class _Search:
             elif key == self.best[:2]:
                 self._record_auto(self.best[2], lab)
             return None
+        sizes = [c.bit_count() for c in cells]
+        target = sizes.index(max(sizes))
         cell = cells[target]
         # A found automorphism fixing the prefix maps the subtree of a
         # searched child w onto that of v; skipping v loses no leaf
@@ -202,7 +217,7 @@ class _Search:
         # children's orbits under those automorphisms.
         tried, covered, seen = [], set(), None
         autos = self.autos
-        for v in sorted(cell):
+        for v in (v for v in range(self.n) if cell >> v & 1):
             if seen != len(autos):  # a child found automorphisms: orbits may merge
                 seen = len(autos)
                 fixing = [p for p in autos if all(p[x] == x for x in prefix)]
@@ -211,11 +226,9 @@ class _Search:
                 continue
             tried.append(v)
             covered |= _orbit((v,), fixing, lambda x, p: p[x])
-            rest = tuple(u for u in cell if u != v)
-            child = list(cells)
-            child[target:target + 1] = [(v,), rest]
-            refined, trace = _refine(self.adj, child, [(v,)])
-            inv = (tuple(len(c) for c in refined), trace)
+            child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1:]
+            refined, trace = _refine(self.adj, child, [1 << v])
+            inv = (tuple(c.bit_count() for c in refined), trace)
             jump = self._node(refined, path + (inv,), prefix + (v,))
             if jump is not None and jump < len(prefix):
                 return jump

@@ -257,8 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"levibridge: error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:
-        print("levibridge: error: input too large for the recursive search", file=sys.stderr)
+    except (RecursionError, MemoryError) as exc:
+        what = "memory (MemoryError)" if isinstance(exc, MemoryError) else "the recursive search"
+        print(f"levibridge: error: input too large for {what}", file=sys.stderr)
         return 1
 
 

@@ -301,14 +301,20 @@ def act_on_spec(w: Perm, spec: BridgeSpec) -> BridgeSpec:
     w is an element of spec_symmetries(); restricted to the 30 join
     vertices it is an isomorphism bridge_graph(spec) -> bridge_graph(result).
     """
-    _, edge, slot = _spec_action()
+    images = _slot_images(w)
     image = ([0] * 4, [0] * 4)
-    for k, perm in enumerate((spec.alpha, spec.beta)):
-        for i, x in enumerate(perm):
-            u, v = edge[k, i, x]
-            k2, i2, x2 = slot[frozenset((w[u], w[v]))]
-            image[k2][i2] = x2
+    for j, x in enumerate(spec.alpha + spec.beta):  # j = 4k + i
+        k, i, y = images[4 * j + x]
+        image[k][i] = y
     return BridgeSpec(tuple(image[0]), tuple(image[1]))
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_images(w: Perm) -> tuple[tuple[int, int, int], ...]:
+    """The slot w maps each bridge slot (k, i, x) to, indexed 16k + 4i + x."""
+    _, edge, slot = _spec_action()
+    return tuple(slot[frozenset(w[u] for u in edge[key])]
+                 for key in itertools.product(range(2), range(4), range(4)))
 
 
 @functools.cache

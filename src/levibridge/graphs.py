@@ -389,12 +389,12 @@ def graph6_decode(data: bytes | str) -> Graph:
     n = data[0] - 63 if pos == 1 else (data[1] - 63) << 12 | (data[2] - 63) << 6 | data[3] - 63
     if data[:pos] != _g6_bytes_for_n(n):
         raise Graph6Error(f"non-minimal multibyte count {n}", 1)
+    if bad < len(data):
+        raise Graph6Error(f"byte {data[bad]} outside graph6 range", bad)
     need = n * (n - 1) // 2
     size = (need + 5) // 6
     if len(data) - pos != size:
         raise Graph6Error(f"graph6 body for n={n} needs {size} bytes, got {len(data) - pos}", pos)
-    if bad < len(data):
-        raise Graph6Error(f"byte {data[bad]} outside graph6 range", bad)
     if data[-1] - 63 & (1 << 6 * size - need) - 1:  # the bits past the triangle
         raise Graph6Error("nonzero padding bits", len(data) - 1)
     edges = []

@@ -77,6 +77,10 @@ def _mask(cell) -> int:
     return sum(1 << v for v in cell)
 
 
+def _cell(mask) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def _refine_every_cell(adj, cells, queue):
     """The earlier refinement: each queued splitter mask is counted against
     every non-singleton cell, and cells split in place during the pass."""
@@ -138,7 +142,8 @@ class _RefineAllSearch(_Search):
         if lab_a != lab_b:
             self.group.add(_labelling_map(lab_a, lab_b, self.edges, self.edge_set))
 
-    def _node(self, cells, path, prefix):
+    def _node(self, masks, path, prefix):
+        cells = [_cell(m) for m in masks]
         ok_best = self._prefix_beats(path, self.best)
         ok_first = self.first is not None and path == self.first[0][: len(path)]
         if not ok_best and not ok_first:
@@ -148,7 +153,7 @@ class _RefineAllSearch(_Search):
             if len(cell) > 1 and (target is None or len(cell) > len(cells[target])):
                 target = idx
         if target is None:
-            cert, lab = self._leaf_cert(cells)
+            cert, lab = self._leaf_cert(masks)
             key = (path, cert)
             if self.first is None:
                 self.first = (path, cert, lab)
@@ -184,7 +189,7 @@ class _RefineAllSearch(_Search):
             if any(uf.find(v) == uf.find(w) for w in tried):
                 continue
             tried.append(v)
-            self._node(refined, path + (inv,), prefix + (v,))
+            self._node([_mask(c) for c in refined], path + (inv,), prefix + (v,))
 
 
 def _refine_all_form(g):
@@ -427,8 +432,10 @@ class TestSearchOrder:
             cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n - 1))) if g.n > 1 else []
             cells = [tuple(verts[a:b]) for a, b in zip([0] + cuts, cuts + [g.n])]
             adj = adjacency_masks(g)
-            refined, trace = _refine(adj, cells, list(cells))
-            assert (refined, trace) == _refine_every_cell(adj, cells, [_mask(c) for c in cells])
+            masks = [_mask(c) for c in cells]
+            refined, trace = _refine(adj, masks, list(masks))
+            every, every_trace = _refine_every_cell(adj, cells, list(masks))
+            assert (refined, trace) == ([_mask(c) for c in every], every_trace)
             stopped += len(refined) == g.n and bool(trace)
         assert stopped >= 100
 
@@ -445,17 +452,20 @@ class TestSearchOrder:
             cuts = sorted(rng.sample(range(1, g.n), rng.randint(0, g.n // 3)))
             cells = [tuple(verts[a:b]) for a, b in zip([0] + cuts, cuts + [g.n])]
             adj = adjacency_masks(g)
-            equitable, _ = _refine(adj, cells, list(cells))
-            size = max(map(len, equitable))
+            masks = [_mask(c) for c in cells]
+            equitable, _ = _refine(adj, masks, list(masks))
+            size = max(c.bit_count() for c in equitable)
             if size == 1:
                 continue
-            target = next(i for i, c in enumerate(equitable) if len(c) == size)
-            for v in equitable[target]:
-                rest = tuple(u for u in equitable[target] if u != v)
+            target = next(i for i, c in enumerate(equitable) if c.bit_count() == size)
+            for v in _cell(equitable[target]):
+                rest = equitable[target] & ~(1 << v)
                 child = list(equitable)
-                child[target:target + 1] = [(v,), rest]
-                assert (_refine(adj, child, [(v,)])
-                        == _refine_every_cell(adj, child, [1 << v, _mask(rest)])), g
+                child[target:target + 1] = [1 << v, rest]
+                refined, trace = _refine(adj, child, [1 << v])
+                every, every_trace = _refine_every_cell(adj, list(map(_cell, child)),
+                                                        [1 << v, rest])
+                assert (refined, trace) == ([_mask(c) for c in every], every_trace), g
 
 
 def _nx_aut_order(g) -> int:

@@ -5,6 +5,7 @@ networkx's VF2++ isomorphism enumeration, which shares no code with the
 canonical-search implementation.
 """
 
+import hashlib
 import itertools
 import random
 import re
@@ -331,6 +332,13 @@ class TestCensus:
         for spec in sample:
             assert canonical_form(bridge_graph(spec)).certificate \
                 == largest.certificate
+
+    def test_certificates_are_pinned(self):
+        """Classes tie-break by certificate, so a change in any certificate
+        can reorder `survey` rows; the bytes stay as first computed."""
+        digest = hashlib.sha256(b"".join(c.certificate for c in bridge_census()))
+        assert digest.hexdigest() \
+            == "db5e9a4838f3e269fbef03e047d3087660d128d5156b66e22cb6fe761b3a9311"
 
     def test_specs_partition_all_576(self):
         classes = bridge_census()

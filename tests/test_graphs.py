@@ -60,9 +60,10 @@ def _to_nx(g):
 
 
 def _bytewise_graph6_decode(data: bytes | str):
-    """The decoder `graph6_decode` replaced, kept verbatim as its oracle: a
-    Python loop over the body bytes, each set bit carried from its byte's
-    first vertex pair to its own."""
+    """The decoder `graph6_decode` replaced, kept as its oracle: a Python
+    loop over the body bytes, each set bit carried from its byte's first
+    vertex pair to its own. Like `graph6_decode`, it checks the body's
+    byte range before its length."""
     if isinstance(data, str):
         try:
             data = data.encode("ascii")
@@ -97,6 +98,9 @@ def _bytewise_graph6_decode(data: bytes | str):
         pos = 1
     need = n * (n - 1) // 2
     body = data[pos:]
+    for off, b in enumerate(body):
+        if not (63 <= b <= 126):
+            raise Graph6Error(f"byte {b} outside graph6 range", pos + off)
     if len(body) != (need + 5) // 6:
         raise Graph6Error(
             f"graph6 body for n={n} needs {(need + 5) // 6} bytes, got {len(body)}",
@@ -104,9 +108,7 @@ def _bytewise_graph6_decode(data: bytes | str):
         )
     edges = []
     i, j = 0, 1  # the vertex pair of the current byte's first bit
-    for off, b in enumerate(body):
-        if not (63 <= b <= 126):
-            raise Graph6Error(f"byte {b} outside graph6 range", pos + off)
+    for b in body:
         x = b - 63
         for k in range(6 if x else 0):  # bit k: pair (i + k, j), carried into later columns
             if x >> (5 - k) & 1:

@@ -650,6 +650,22 @@ class TestCli:
         assert (out.returncode, out.stdout) == (1, "")
         assert out.stderr == "levibridge: error: input too large for the recursive search\n"
 
+    def test_running_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch):
+        """A MemoryError inside a subcommand is one stderr line and exit 1,
+        not a structural failure and not a traceback."""
+        from levibridge import cli
+
+        def no_memory(g):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "pseudo_2fi", no_memory)
+        path = tmp_path / "heawood.g6"
+        path.write_bytes(graph6_encode(heawood()) + b"\n")
+        assert cli.main(["p2fi", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "levibridge: error: input too large for memory (MemoryError)\n"
+
 
 HEAWOOD, K33 = graph6_encode(heawood()), graph6_encode(k33())
 
@@ -709,5 +725,5 @@ class TestGraph6Reader:
                                 "(byte offset 0)\n")
         inside = self._aut(K33 + bytes([sep]) + K33 + b"\n", "file", tmp_path, monkeypatch,
                            capsys)
-        assert inside == (1, "", "levibridge: input error: graph6 body for n=6 needs 3 bytes, "
-                                 "got 8 (byte offset 1)\n")
+        assert inside == (1, "", f"levibridge: input error: byte {sep} outside graph6 range "
+                                 "(byte offset 4)\n")
