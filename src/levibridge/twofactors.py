@@ -8,10 +8,11 @@ The parity report is the histogram of cycle counts over all 2-factors. One
 engine computes it without listing them: a frontier dynamic program
 (Knuth's SIMPATH, TAOCP 4A 7.1.4; Kawahara et al., "Frontier-based
 search", IEICE Trans. Fundamentals E100-A, 2017) places the vertices one
-at a time in a greedy order and keeps, per boundary configuration, the
-polynomial of closed cycles. Its cost grows with the number of
-configurations, exponentially in the widest frontier of that order and
-linearly in n, not with the number of 2-factors.
+at a time in a greedy order and keeps, per boundary configuration (one
+int of slot codes, updated by XOR masks), the polynomial of closed
+cycles. Its cost grows with the number of configurations, exponentially
+in the widest frontier of that order and linearly in n, not with the
+number of 2-factors.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class TwoFactorReport(namedtuple("TwoFactorReport", "histogram")):
                 else ALL_ODD if 1 in parities else ALL_EVEN)
 
 
-def _frontier_order(g: Graph) -> list[int]:
-    """A vertex order with a small frontier.
+def _frontier_order(g: Graph) -> tuple[list[int], int]:
+    """A vertex order with a small frontier, and the widest frontier in it.
 
     The frontier after a step is the set of placed vertices that still have
     an unplaced neighbour. Each component starts at a pseudo-peripheral
@@ -68,7 +69,7 @@ def _frontier_order(g: Graph) -> list[int]:
     left = [len(nb) for nb in nbrs]  # unplaced neighbours of each vertex
     unplaced = (1 << g.n) - 1
     order: list[int] = []
-    reach = 0  # unplaced vertices next to placed ones
+    reach = size = width = 0  # reach: unplaced vertices next to placed ones
     while unplaced:
         if not reach:
             root = (unplaced & -unplaced).bit_length() - 1
@@ -83,20 +84,32 @@ def _frontier_order(g: Graph) -> list[int]:
             c = low.bit_length() - 1
             grow = (left[c] > 0) - sum(left[u] == 1 for u in nbrs[c] if not unplaced >> u & 1)
             keys.append((grow, left[c], c))
-        v = min(keys)[2]
+        grow, _, v = min(keys)
+        size += grow
+        width = max(width, size)
         order.append(v)
         unplaced ^= 1 << v
         reach = (reach | adj[v]) & unplaced
         for u in nbrs[v]:
             left[u] -= 1
-    return order
+    return order, width
 
 
-_OPEN, _DONE = -1, -2  # frontier codes for degree 0 and degree 2
+_OPEN, _DONE = 0, 1  # slot codes for degree 0 and degree 2; 2 + j is a path end
 
 
-def _degree(code: int) -> int:
-    return 1 if code >= 0 else 0 if code == _OPEN else 2
+def _rule(a: int, b: int, i: int, k: int, need_u: int, need_v: int, reset: int, bits: int):
+    """XOR masks that leave out and take an edge from slot i with code a to
+    slot k with code b (None if barred), and whether taking it closes a cycle."""
+    keep = (reset if (1 if a > 1 else 2 * a) >= need_u and (1 if b > 1 else 2 * b) >= need_v
+            else None)
+    if _DONE in (a, b):
+        return keep, None, 0
+    # Path ends become _DONE and the far ends eu, ev point at each other. If
+    # u and v end one path, eu = k and ev = i: the edge closes a cycle.
+    eu, ev = a - 2 if a else i, b - 2 if b else k
+    take = reset ^ ((a and 2 + i) ^ 2 + ev) << eu * bits ^ ((b and 2 + k) ^ 2 + eu) << ev * bits
+    return keep, take ^ (a and a ^ _DONE) << i * bits ^ (b and b ^ _DONE) << k * bits, eu == k
 
 
 def _frontier_histogram(g: Graph) -> tuple[tuple[int, int], ...]:
@@ -105,13 +118,21 @@ def _frontier_histogram(g: Graph) -> tuple[tuple[int, int], ...]:
     Returns the (cycles, 2-factors) pairs in ascending order of cycles, as
     TwoFactorReport stores them. The vertices are placed in
     `_frontier_order`, and placing a vertex decides its edges to placed
-    neighbours one at a time. A state gives each frontier vertex a code:
-    _OPEN (degree 0), _DONE (degree 2), or for a path end the frontier
-    vertex at the path's other end. Taking an edge between the two ends of
-    one path closes a cycle. An edge is left out only while both its ends
+    neighbours one at a time. An edge is left out only while both its ends
     can still reach degree 2, so every vertex leaves the frontier with
     degree 2, and the left-out edges of a partial 2-factor form a matching
-    whose vertex set the state fixes.
+    whose vertex set the state fixes. Taking an edge between the two ends
+    of one path closes a cycle.
+
+    A state is one int with a `bits`-bit field per slot. A live vertex owns
+    a slot, holding _OPEN, _DONE or, for a path end, 2 + the far end's
+    slot. A step's vertex takes the lowest free slot while its placed
+    neighbours keep theirs, so at most width + 1 slots are live and codes
+    stay below width + 3, which `bits` holds. A vertex is freed at degree
+    2, so a free slot holds _DONE in every state: freeing merges and copies
+    nothing, and `_rule`'s reset clears the slot at its next vertex's first
+    edge (a component's first vertex has none, but then one state is left).
+    Each edge memoises `_rule`, which reads only the codes of its two ends.
 
     A state's value is the polynomial sum_c N_c x^c, where N_c counts the
     partial 2-factors that reach the state with c closed cycles, packed in
@@ -122,54 +143,43 @@ def _frontier_histogram(g: Graph) -> tuple[tuple[int, int], ...]:
     values never carries from one field into the next.
     """
     nbrs = _neighbor_tuples(g)
-    shift = g.n // 2 + 3
+    order, width = _frontier_order(g)
+    bits = (width + 2).bit_length()
+    ones, shift = (1 << bits) - 1, g.n // 2 + 3
     left = [len(nb) for nb in nbrs]  # undecided edges of each vertex
-    front: list[int] = []
-    where: dict[int, int] = {}  # frontier vertex -> its slot in a state
-    states = {(): 1}
-    for v in _frontier_order(g):
-        back = [u for u in nbrs[v] if u in where]
-        k = where[v] = len(front)
-        front.append(v)
-        states = {s + (_OPEN,): val for s, val in states.items()}
+    slot = [-1] * g.n  # a placed vertex's slot
+    live, states = 0, {0: 1}  # live: the live slots, as a mask
+    for v in order:
+        back = [u for u in nbrs[v] if slot[u] >= 0]
+        if not back:  # all slots are free, so there is at most one state
+            states = {0: val for val in states.values()}
+        k = slot[v] = (~live & live + 1).bit_length() - 1
+        live, sk = live | 1 << k, k * bits
+        stale = next(iter(states), 0) >> sk & ones  # free: _OPEN or _DONE in all states
         for u in back:
-            i = where[u]
+            i, si = slot[u], slot[u] * bits
             left[u] -= 1
             left[v] -= 1
-            # Degrees u and v must already have for the edge to be left out.
-            need_u, need_v = 2 - left[u], 2 - left[v]
-            step: dict[tuple, int] = {}
+            need_u, need_v = 2 - left[u], 2 - left[v]  # degrees to leave it out
+            rules, step = [None] * (1 << 2 * bits), {}
             for s, val in states.items():
-                a, b = s[i], s[k]
-                if _degree(a) >= need_u and _degree(b) >= need_v:
-                    step[s] = step.get(s, 0) + val
-                if a == _DONE or b == _DONE:
-                    continue
-                t = list(s)
-                if a == v:  # u and v end one path: the edge closes a cycle
-                    t[i] = t[k] = _DONE
-                    val <<= shift
-                else:
-                    eu = u if a == _OPEN else a
-                    ev = v if b == _OPEN else b
-                    if a != _OPEN:
-                        t[i] = _DONE
-                    if b != _OPEN:
-                        t[k] = _DONE
-                    t[where[eu]], t[where[ev]] = ev, eu
-                t = tuple(t)
-                step[t] = step.get(t, 0) + val
-            states = step
-        keep = [i for i, x in enumerate(front) if left[x]]
-        if len(keep) < len(front):
-            front = [front[i] for i in keep]
-            where = {x: i for i, x in enumerate(front)}
-            merged: dict[tuple, int] = {}
-            for s, val in states.items():
-                t = tuple(s[i] for i in keep)
-                merged[t] = merged.get(t, 0) + val
-            states = merged
-    total, mask = states.get((), 0), (1 << shift) - 1
+                codes = (s >> si & ones) << bits | s >> sk & ones
+                rule = rules[codes]
+                if rule is None:
+                    rule = rules[codes] = _rule(codes >> bits, codes & ones ^ stale, i, k,
+                                                need_u, need_v, stale << sk, bits)
+                keep, take, closed = rule
+                if keep is not None:
+                    t = s ^ keep
+                    step[t] = step.get(t, 0) + val
+                if take is not None:
+                    t = s ^ take
+                    step[t] = step.get(t, 0) + (val << closed * shift)
+            states, stale = step, 0
+        for x in (v, *back):
+            if not left[x]:
+                live ^= 1 << slot[x]
+    total, mask = sum(states.values()), (1 << shift) - 1
     # A 2-factor's cycles have length >= 3, so it has at most n/3 of them.
     counts = ((c, total >> c * shift & mask) for c in range(g.n // 3 + 1))
     return tuple((c, count) for c, count in counts if count)
@@ -181,9 +191,9 @@ def pseudo_2fi(g: Graph) -> TwoFactorReport:
     The histogram comes from the frontier DP. Its state count grows
     exponentially in the widest frontier of the greedy vertex order, and
     nothing caps it: prisms and Möbius ladders (width 4) take milliseconds
-    at any n, the 30-vertex joins (widths 7-9) a few milliseconds and
-    gp(40, 3) (width 8) about 50 ms, but random cubic graphs on 100
-    vertices (widths 14-18) take tens of seconds and hundreds of megabytes.
+    at any n, the 30-vertex joins (widths 7-9) about 2 ms and gp(40, 3)
+    (width 8) about 15 ms, but random cubic graphs on 100 vertices (widths
+    14-17) take 2-21 s and 80-420 MB.
     """
     for v, m in enumerate(adjacency_masks(g)):
         if m.bit_count() != 3:

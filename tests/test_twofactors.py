@@ -6,7 +6,8 @@ enumeration recovers matchings and 2-factors of any small cubic graph, and
 a recursive enumerate-then-count reference checks the parity report of
 cubic graphs on up to 30 vertices. An iterative matching walk, the engine
 the frontier DP replaced, is the oracle for its cycle-count histogram on
-wider inputs.
+wider inputs, and the DP's first, tuple-keyed form on inputs too wide for
+the walk.
 """
 
 import itertools
@@ -21,6 +22,7 @@ import networkx as nx
 import pytest
 from sympy import Matrix
 
+from levibridge.construction import bridge_census, bridge_graph
 from levibridge.graphs import (
     Graph,
     GraphError,
@@ -42,6 +44,7 @@ from levibridge.twofactors import (
     MIXED,
     NO_TWO_FACTOR,
     TwoFactorReport,
+    _frontier_order,
     pseudo_2fi,
 )
 
@@ -100,6 +103,93 @@ def _walk(g: Graph):
             else:
                 v = (uncovered & (covered + 1)).bit_length() - 1
                 frames.append((v, adj[v] & uncovered, covered, cycles, len(log)))
+
+
+_OPEN, _DONE = -1, -2  # frontier codes for degree 0 and degree 2
+
+
+def _degree(code: int) -> int:
+    return 1 if code >= 0 else 0 if code == _OPEN else 2
+
+
+def _tuple_frontier_histogram(g: Graph) -> tuple[tuple[int, int], ...]:
+    """Cycle-count histogram of the 2-factors of cubic g, by a frontier DP.
+
+    The tuple-keyed form of `twofactors._frontier_histogram`, kept as its
+    oracle: the same vertex order and decisions, with states as tuples of
+    vertex codes that are copied at every step.
+
+    Returns the (cycles, 2-factors) pairs in ascending order of cycles, as
+    TwoFactorReport stores them. The vertices are placed in
+    `_frontier_order`, and placing a vertex decides its edges to placed
+    neighbours one at a time. A state gives each frontier vertex a code:
+    _OPEN (degree 0), _DONE (degree 2), or for a path end the frontier
+    vertex at the path's other end. Taking an edge between the two ends of
+    one path closes a cycle. An edge is left out only while both its ends
+    can still reach degree 2, so every vertex leaves the frontier with
+    degree 2, and the left-out edges of a partial 2-factor form a matching
+    whose vertex set the state fixes.
+
+    A state's value is the polynomial sum_c N_c x^c, where N_c counts the
+    partial 2-factors that reach the state with c closed cycles, packed in
+    one int with fields of n/2 + 3 bits; closing a cycle is a shift by one
+    field. N_c is thus at most the number of perfect matchings of a graph
+    of maximum degree 3 on at most n vertices, below 6^(n/6) < 2^(n/2)
+    (Bregman's bound, extended to all graphs by Kahn and Lovász), so adding
+    values never carries from one field into the next.
+    """
+    nbrs = _neighbor_tuples(g)
+    shift = g.n // 2 + 3
+    left = [len(nb) for nb in nbrs]  # undecided edges of each vertex
+    front: list[int] = []
+    where: dict[int, int] = {}  # frontier vertex -> its slot in a state
+    states = {(): 1}
+    for v in _frontier_order(g)[0]:
+        back = [u for u in nbrs[v] if u in where]
+        k = where[v] = len(front)
+        front.append(v)
+        states = {s + (_OPEN,): val for s, val in states.items()}
+        for u in back:
+            i = where[u]
+            left[u] -= 1
+            left[v] -= 1
+            # Degrees u and v must already have for the edge to be left out.
+            need_u, need_v = 2 - left[u], 2 - left[v]
+            step: dict[tuple, int] = {}
+            for s, val in states.items():
+                a, b = s[i], s[k]
+                if _degree(a) >= need_u and _degree(b) >= need_v:
+                    step[s] = step.get(s, 0) + val
+                if a == _DONE or b == _DONE:
+                    continue
+                t = list(s)
+                if a == v:  # u and v end one path: the edge closes a cycle
+                    t[i] = t[k] = _DONE
+                    val <<= shift
+                else:
+                    eu = u if a == _OPEN else a
+                    ev = v if b == _OPEN else b
+                    if a != _OPEN:
+                        t[i] = _DONE
+                    if b != _OPEN:
+                        t[k] = _DONE
+                    t[where[eu]], t[where[ev]] = ev, eu
+                t = tuple(t)
+                step[t] = step.get(t, 0) + val
+            states = step
+        keep = [i for i, x in enumerate(front) if left[x]]
+        if len(keep) < len(front):
+            front = [front[i] for i in keep]
+            where = {x: i for i, x in enumerate(front)}
+            merged: dict[tuple, int] = {}
+            for s, val in states.items():
+                t = tuple(s[i] for i in keep)
+                merged[t] = merged.get(t, 0) + val
+            states = merged
+    total, mask = states.get((), 0), (1 << shift) - 1
+    # A 2-factor's cycles have length >= 3, so it has at most n/3 of them.
+    counts = ((c, total >> c * shift & mask) for c in range(g.n // 3 + 1))
+    return tuple((c, count) for c, count in counts if count)
 
 
 def _permanent_matching_count(g) -> int:
@@ -424,6 +514,37 @@ class TestFrontierHistogram:
             assert pseudo_2fi(g).histogram == tuple(sorted(walked.items())), g
             statuses.add(_status(walked))
         assert statuses == {ALL_ODD, ALL_EVEN, MIXED, NO_TWO_FACTOR}
+
+    def test_matches_the_tuple_keyed_dp(self):
+        rng = random.Random(20262)
+        graphs = [bridge_graph(c.representative) for c in bridge_census()]
+        graphs += [_relabelled(rng, n, _random_cubic_edges(rng, n))
+                   for n in (32, 40, 48, 52, 56, 60) for _ in range(2)]
+        # Components after the first start on freed slots.
+        parts = [k33(), heawood(), *[build(4, itertools.combinations(range(4), 2))] * 2]
+        edges, n = [], 0
+        for h in parts:
+            edges += [(u + n, v + n) for u, v in h.edges]
+            n += h.n
+        graphs += [_relabelled(rng, n, edges), _no_two_factor_gadget(), build(0, [])]
+        for g in graphs:
+            assert pseudo_2fi(g).histogram == _tuple_frontier_histogram(g), g
+
+    def test_widths_of_the_greedy_order(self):
+        def width(g):
+            order, reported = _frontier_order(g)
+            nbrs, placed, widest = _neighbor_tuples(g), set(), 0
+            for v in order:
+                placed.add(v)
+                front = [x for x in placed if not placed.issuperset(nbrs[x])]
+                widest = max(widest, len(front))
+            assert reported == widest, g
+            return reported
+
+        assert {width(gp(n, 1)) for n in range(6, 21)} == {4}
+        assert {width(lcf([m], 2 * m)) for m in range(12, 21)} == {4}  # Moebius ladders
+        assert (width(heawood()), width(gp(40, 3))) == (6, 8)
+        assert {width(bridge_graph(c.representative)) for c in bridge_census()} == {7, 8, 9}
 
     def test_generalized_petersen_with_a_million_two_factors_takes_seconds(self):
         # gp(40, 3)'s frontier is 8 wide. Its histogram was confirmed once
