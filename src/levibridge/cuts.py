@@ -13,9 +13,13 @@ One loop answers both questions: maximum flows between contracted vertex
 sets, from a few *source* cycles to targets vertex-disjoint from them. A cut
 that crosses a cycle holds at least 2 of its edges, so once p pairwise
 edge-disjoint sources have been processed, any cut still unseen has at least
-2p edges. Up to 40 vertices the targets are short chordless cycles, and the
-search, held in the graph's one cache, gives the exact cyclic edge
-connectivity and a minimum cyclic cut, from which both answers are read.
+2p edges. Double counting bounds it for sources that share edges too: if j
+sources have been processed and no edge lies on more than m of them, an
+unseen cut crosses all j, so counting its edges once per source they lie on
+gives 2j <= m |cut|. Up to 40 vertices the targets are short chordless
+cycles, and the search, held in the graph's one cache, gives the exact
+cyclic edge connectivity and a minimum cyclic cut, from which both answers
+are read.
 Above 40 vertices the essential check runs the loop from two edge-disjoint
 shortest cycles to every edge; it takes them from the graph layer's
 `shortest_cycle`, so the only search in this module is the flows' own.
@@ -40,7 +44,11 @@ def _chordless_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
     """Chordless cycles on at most `cap` vertices, each listed exactly once.
 
     A cycle is reported rooted at its smallest vertex and oriented toward
-    its smaller root neighbor.
+    its smaller root neighbor. A path from the root grows to y only when y
+    lies within distance cap - len(path) of the root, counted over the
+    vertices above the root: closing the cycle from y takes at least
+    dist(root, y) - 1 more vertices, so a farther y can only lead to longer
+    cycles. The balls `near[d]` are masks, rebuilt for each root.
     """
     adj = adjacency_masks(g)
     cycles: list[tuple[int, ...]] = []
@@ -48,28 +56,37 @@ def _chordless_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
     def extend(root: int, path: list[int], mask: int):
         last = path[-1]
         inner = mask & ~(1 << last) & ~(1 << root)
-        candidates = adj[last] & ~mask
+        candidates = adj[last] & near[cap - len(path)] & ~mask
         while candidates:
             y = (candidates & -candidates).bit_length() - 1
             candidates &= candidates - 1
-            if y < root or adj[y] & inner:
+            if adj[y] & inner:
                 continue
             if adj[y] & (1 << root):
-                if len(path) >= 2 and path[1] < y:
+                if path[1] < y:
                     cycles.append(tuple(path) + (y,))
                 continue
-            if len(path) + 1 < cap:
-                path.append(y)
-                extend(root, path, mask | 1 << y)
-                path.pop()
+            path.append(y)
+            extend(root, path, mask | 1 << y)
+            path.pop()
 
     for root in range(g.n):
-        second = adj[root]
+        above = ~((1 << root) - 1)
+        near = [1 << root]  # near[d]: vertices above the root within distance d
+        layer = near[0]
+        for _ in range(cap - 2):  # extend reads near[cap - len(path)], len(path) >= 2
+            reached = 0
+            while layer:
+                low = layer & -layer
+                layer ^= low
+                reached |= adj[low.bit_length() - 1]
+            layer = reached & above & ~near[-1]
+            near.append(near[-1] | layer)
+        second = adj[root] & above
         while second:
             x = (second & -second).bit_length() - 1
             second &= second - 1
-            if x > root:
-                extend(root, [root, x], (1 << root) | (1 << x))
+            extend(root, [root, x], (1 << root) | (1 << x))
     return cycles
 
 
@@ -83,15 +100,16 @@ def _min_cut_between(g: Graph, side_s: frozenset[int], side_t: frozenset[int],
     (stop_at, None); else returns the cut size and the last search's reach,
     the source side of a minimum cut that lies inside every other one.
     """
-    nbrs = _neighbor_tuples(g)
-    flow: set[tuple[int, int]] = set()  # arcs (x, y) carrying a unit from x to y
+    nbrs, n = _neighbor_tuples(g), g.n
+    flow: set[int] = set()  # arcs x * n + y carrying a unit from x to y
     value = 0
     while stop_at is None or value < stop_at:
         parent = dict.fromkeys(side_s)
         queue = list(side_s)
         for x in queue:
+            xn = x * n
             for y in nbrs[x]:
-                if y not in parent and (x, y) not in flow:
+                if y not in parent and xn + y not in flow:
                     parent[y] = x
                     if y in side_t:
                         break
@@ -103,7 +121,10 @@ def _min_cut_between(g: Graph, side_s: frozenset[int], side_t: frozenset[int],
             return value, frozenset(parent)
         while y not in side_s:
             x = parent[y]
-            flow ^= {(y, x) if (y, x) in flow else (x, y)}  # cancel a unit back, or send one
+            if y * n + x in flow:  # cancel a unit sent back along the edge
+                flow.remove(y * n + x)
+            else:
+                flow.add(x * n + y)
             y = x
         value += 1
     return value, None
@@ -123,22 +144,36 @@ def _packed_search(g: Graph, cycles: list[tuple[int, ...]],
     from all packed sources, which is then packed and counts towards p, else
     the first one left. A source's flows go to each set in `targets` that it
     does not meet or, when `targets` is None, to each cycle that has not been
-    a source yet. The search stops once 2p reaches `best` (None is no bound),
-    because a cut crossing p pairwise edge-disjoint cycles has at least 2p
-    edges. The side is None when no flow went below the starting `best`.
+    a source yet. A cut smaller than `best` that no flow has found yet
+    crosses every processed source: a source inside one of its sides would
+    have had a flow to a target on the other side. It holds at least 2 edges
+    of each, so after j sources, p of them pairwise edge-disjoint and none
+    of its edges on more than m of them, it has at least 2p edges, and
+    counting its edges once per source they lie on gives m |cut| >= 2j. The
+    search therefore stops once 2p or 2j / m reaches `best` (None is no
+    bound), in integers. Either stop skips only flows that cannot go below
+    `best`, so the value and side are the ones the flows from every source
+    would give. The side is None when no flow went below the starting
+    `best`.
     """
     vertices = [frozenset(c) for c in cycles]
     edges = [_cycle_edges(c) for c in cycles]
     unprocessed = list(range(len(cycles)))
     packed: set[frozenset[int]] = set()  # edges of the pairwise edge-disjoint sources
-    p = 0
+    load: dict[frozenset[int], int] = {}  # processed sources through each edge
+    p = j = 0
+    m = 1  # the largest load; before the first source, 2j = 0 bounds nothing
     side: frozenset[int] | None = None
-    while unprocessed and (best is None or 2 * p < best):
+    while unprocessed and (best is None or 2 * p < best and 2 * j < best * m):
         source = next((i for i in unprocessed if not edges[i] & packed), unprocessed[0])
         if not edges[source] & packed:
             packed |= edges[source]
             p += 1
         unprocessed.remove(source)
+        j += 1
+        for e in edges[source]:
+            load[e] = load.get(e, 0) + 1
+            m = max(m, load[e])
         for target in targets if targets is not None else [vertices[i] for i in unprocessed]:
             if not vertices[source] & target:
                 value, reach = _min_cut_between(g, vertices[source], target, best)

@@ -62,11 +62,15 @@ def _frontier_order(g: Graph) -> tuple[list[int], int]:
     vertex, the end of a double breadth-first sweep from its lowest vertex.
     Every later step places the unplaced neighbour of a placed vertex that
     leaves the smallest frontier, then the one with the fewest unplaced
-    neighbours, then the lowest.
+    neighbours, then the lowest. Placing c grows the frontier by
+    (left[c] > 0) - ones[c]: c joins it if it has an unplaced neighbour,
+    and the placed neighbours waiting on c alone leave it. A placed vertex
+    adds to `ones` once, when it is down to one unplaced neighbour.
     """
     adj = adjacency_masks(g)
     nbrs = _neighbor_tuples(g)
     left = [len(nb) for nb in nbrs]  # unplaced neighbours of each vertex
+    ones = [0] * g.n  # placed neighbours of each vertex with one unplaced neighbour
     unplaced = (1 << g.n) - 1
     order: list[int] = []
     reach = size = width = 0  # reach: unplaced vertices next to placed ones
@@ -82,8 +86,7 @@ def _frontier_order(g: Graph) -> tuple[list[int], int]:
             low = rest & -rest
             rest ^= low
             c = low.bit_length() - 1
-            grow = (left[c] > 0) - sum(left[u] == 1 for u in nbrs[c] if not unplaced >> u & 1)
-            keys.append((grow, left[c], c))
+            keys.append(((left[c] > 0) - ones[c], left[c], c))
         grow, _, v = min(keys)
         size += grow
         width = max(width, size)
@@ -92,6 +95,9 @@ def _frontier_order(g: Graph) -> tuple[list[int], int]:
         reach = (reach | adj[v]) & unplaced
         for u in nbrs[v]:
             left[u] -= 1
+        for u in (v, *nbrs[v]):  # v, and its placed neighbours that just lost one
+            if left[u] == 1 and not unplaced >> u & 1:
+                ones[(adj[u] & unplaced).bit_length() - 1] += 1
     return order, width
 
 

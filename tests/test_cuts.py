@@ -22,13 +22,17 @@ from levibridge.cuts import (
     _CHORDLESS_CAP,
     CutCertificate,
     _chordless_cycles,
+    _cycle_edges,
+    _cyclic_cut,
     _min_cut_between,
+    _packed_search,
     _small_cut_to_edges,
     cyclic_edge_connectivity,
     is_essentially_4_edge_connected,
 )
 from levibridge.graphs import (
     GraphError,
+    adjacency_masks,
     build,
     graph6_decode,
     gp,
@@ -80,6 +84,73 @@ def _all_pairs_cyclic_connectivity(g):
         if best is None or value < best:
             best = value
     return best
+
+
+def _distance_blind_chordless_cycles(g, cap: int) -> list[tuple[int, ...]]:
+    """The earlier `cuts._chordless_cycles`, kept verbatim as the oracle for
+    its distance prune: it grows a path to any vertex above the root."""
+    adj = adjacency_masks(g)
+    cycles: list[tuple[int, ...]] = []
+
+    def extend(root: int, path: list[int], mask: int):
+        last = path[-1]
+        inner = mask & ~(1 << last) & ~(1 << root)
+        candidates = adj[last] & ~mask
+        while candidates:
+            y = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            if y < root or adj[y] & inner:
+                continue
+            if adj[y] & (1 << root):
+                if len(path) >= 2 and path[1] < y:
+                    cycles.append(tuple(path) + (y,))
+                continue
+            if len(path) + 1 < cap:
+                path.append(y)
+                extend(root, path, mask | 1 << y)
+                path.pop()
+
+    for root in range(g.n):
+        second = adj[root]
+        while second:
+            x = (second & -second).bit_length() - 1
+            second &= second - 1
+            if x > root:
+                extend(root, [root, x], (1 << root) | (1 << x))
+    return cycles
+
+
+def _packing_only_search(g, cycles, targets, best):
+    """The earlier `cuts._packed_search`, kept verbatim as the oracle for its
+    double-counting stop: it stops once 2p reaches `best`, and on nothing else."""
+    vertices = [frozenset(c) for c in cycles]
+    edges = [_cycle_edges(c) for c in cycles]
+    unprocessed = list(range(len(cycles)))
+    packed: set[frozenset[int]] = set()  # edges of the pairwise edge-disjoint sources
+    p = 0
+    side: frozenset[int] | None = None
+    while unprocessed and (best is None or 2 * p < best):
+        source = next((i for i in unprocessed if not edges[i] & packed), unprocessed[0])
+        if not edges[source] & packed:
+            packed |= edges[source]
+            p += 1
+        unprocessed.remove(source)
+        for target in targets if targets is not None else [vertices[i] for i in unprocessed]:
+            if not vertices[source] & target:
+                value, reach = _min_cut_between(g, vertices[source], target, best)
+                if best is None or value < best:
+                    best, side = value, reach
+    return best, side
+
+
+def _pool_and_random_graphs():
+    """The 157 `certify` pool graphs, then 50 seeded random connected cubic
+    graphs on 20-40 vertices."""
+    pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "data"
+                       / "certify_pool.json").read_text())
+    rng = random.Random(20280)
+    return ([graph6_decode(item["g6"]) for item in pool]
+            + [build(n, _random_cubic(rng, n)) for n in (20 + 2 * (i % 11) for i in range(50))])
 
 
 def _brute_force_has_nontrivial_small_cut(g) -> bool:
@@ -284,6 +355,47 @@ class TestCyclicEdgeConnectivity:
             g = graph6_decode(item["g6"])
             assert cyclic_edge_connectivity(g) == item["expect"]["cyclic"], item["name"]
         assert len(pool) == 157 and len(flows) <= 11000
+
+    def test_chordless_cycles_match_the_distance_blind_listing(self):
+        # The same list in the same order, at caps past the 9 the search uses.
+        graphs = _pool_and_random_graphs()
+        assert len(graphs) == 157 + 50
+        for g in graphs:
+            for cap in range(3, 11):
+                assert _chordless_cycles(g, cap) == _distance_blind_chordless_cycles(g, cap), (g, cap)
+
+    def test_search_matches_the_packing_only_stop(self):
+        # The same value and the same side of a minimum cut, so the same
+        # certificates.
+        values = set()
+        for g in _pool_and_random_graphs():
+            cycles = sorted(_distance_blind_chordless_cycles(g, _CHORDLESS_CAP), key=len)
+            found = _cyclic_cut(g)
+            assert found == _packing_only_search(g, cycles, None, None), g
+            values.add(found[0])
+        assert values == {2, 3, 4, 5, 6, 7}
+
+    def test_stop_holds_for_any_source_order(self):
+        # Sorted by length, the search finds the minimum before the stop can
+        # matter. Shuffled, sources that share edges come before it is found.
+        rng = random.Random(20282)
+        graphs = [g for _, g in _oracle_graphs()]
+        graphs += [build(n, _random_cubic(rng, n)) for n in (10, 12, 14, 16) for _ in range(10)]
+        for g in graphs:
+            cycles = _chordless_cycles(g, _CHORDLESS_CAP)
+            for _ in range(3):
+                rng.shuffle(cycles)
+                assert (_packed_search(g, cycles, None, None)
+                        == _packing_only_search(g, cycles, None, None)), g
+
+    def test_double_counting_stop_takes_at_most_9700_flows(self, fresh_goedgebeur, flows):
+        # The packing bound alone took 10,580 flows on the pool.
+        for g in _pool_and_random_graphs()[:157]:
+            cyclic_edge_connectivity(g)
+        assert 0 < len(flows) <= 9700
+        flows.clear()
+        assert cyclic_edge_connectivity(fresh_goedgebeur) == 6
+        assert 0 < len(flows) <= 48
 
     def test_no_two_disjoint_cycles(self):
         # K4 and K3,3 are too small to hold two vertex-disjoint cycles.

@@ -28,6 +28,7 @@ from levibridge.graphs import (
     GraphError,
     _neighbor_tuples,
     adjacency_masks,
+    bfs_layers,
     bipartition,
     build,
     gp,
@@ -190,6 +191,41 @@ def _tuple_frontier_histogram(g: Graph) -> tuple[tuple[int, int], ...]:
     # A 2-factor's cycles have length >= 3, so it has at most n/3 of them.
     counts = ((c, total >> c * shift & mask) for c in range(g.n // 3 + 1))
     return tuple((c, count) for c, count in counts if count)
+
+
+def _rescanning_frontier_order(g: Graph) -> tuple[list[int], int]:
+    """The earlier `twofactors._frontier_order`, kept verbatim as its
+    oracle: it recounts every candidate's placed neighbours with one
+    unplaced neighbour at every step."""
+    adj = adjacency_masks(g)
+    nbrs = _neighbor_tuples(g)
+    left = [len(nb) for nb in nbrs]  # unplaced neighbours of each vertex
+    unplaced = (1 << g.n) - 1
+    order: list[int] = []
+    reach = size = width = 0  # reach: unplaced vertices next to placed ones
+    while unplaced:
+        if not reach:
+            root = (unplaced & -unplaced).bit_length() - 1
+            for _ in range(2):
+                *_, far = bfs_layers(adj, root)
+                root = (far & -far).bit_length() - 1
+            reach = 1 << root
+        keys, rest = [], reach
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
+            grow = (left[c] > 0) - sum(left[u] == 1 for u in nbrs[c] if not unplaced >> u & 1)
+            keys.append((grow, left[c], c))
+        grow, _, v = min(keys)
+        size += grow
+        width = max(width, size)
+        order.append(v)
+        unplaced ^= 1 << v
+        reach = (reach | adj[v]) & unplaced
+        for u in nbrs[v]:
+            left[u] -= 1
+    return order, width
 
 
 def _permanent_matching_count(g) -> int:
@@ -545,6 +581,16 @@ class TestFrontierHistogram:
         assert {width(lcf([m], 2 * m)) for m in range(12, 21)} == {4}  # Moebius ladders
         assert (width(heawood()), width(gp(40, 3))) == (6, 8)
         assert {width(bridge_graph(c.representative)) for c in bridge_census()} == {7, 8, 9}
+
+    def test_order_matches_the_rescanning_order(self):
+        rng = random.Random(20281)
+        graphs = [bridge_graph(c.representative) for c in bridge_census()]
+        graphs += [_relabelled(rng, n, _random_cubic_edges(rng, n)) for n in range(20, 120, 2)]
+        # A second component starts from a fresh pseudo-peripheral vertex.
+        graphs.append(_relabelled(rng, 20, list(k33().edges)
+                                  + [(u + 6, v + 6) for u, v in heawood().edges]))
+        for g in graphs:
+            assert _frontier_order(g) == _rescanning_frontier_order(g), g
 
     def test_generalized_petersen_with_a_million_two_factors_takes_seconds(self):
         # gp(40, 3)'s frontier is 8 wide. Its histogram was confirmed once
