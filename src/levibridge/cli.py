@@ -8,7 +8,9 @@ Graphs travel as graph6, one per line; reports are JSON. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import re
 import sys
 
 from .canon import automorphism_group, isomorphism
@@ -71,6 +73,9 @@ def _emit_graph(g: Graph, labels: bool):
 
 
 def _gen_gp(n: str, k: str) -> Graph:
+    for arg in (n, k):
+        if not re.fullmatch(r"[+-]?[0-9]+", arg):
+            raise ValueError(f"gen gp takes two integers, got {arg!r}")
     n, k = int(n), int(k)
     try:
         _g6_bytes_for_n(2 * n)  # refuse a graph graph6 cannot write before building it
@@ -176,11 +181,9 @@ def _cmd_config(args) -> int:
 
 
 def _cmd_survey(args) -> int:
-    if not args.json_path:
-        sys.stdout.write(survey_json(run_survey(p2fi=args.p2fi)))
-        return 0
     # open the output first so a bad path fails before the census runs
-    with open(args.json_path, "w", encoding="ascii") as fh:
+    with (open(args.json_path, "w", encoding="ascii") if args.json_path
+          else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(survey_json(run_survey(p2fi=args.p2fi)))
     return 0
 

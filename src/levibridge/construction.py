@@ -84,7 +84,7 @@ class BridgeSpec(_Record):
     @classmethod
     def from_strings(cls, alpha: str, beta: str) -> "BridgeSpec":
         def parse(s: str) -> tuple[int, int, int, int]:
-            if len(s) != 4 or not s.isdigit():
+            if len(s) != 4 or not (s.isascii() and s.isdigit()):
                 raise ValueError(f"expected a 4-digit one-line image, got {s!r}")
             return tuple(int(c) for c in s)  # type: ignore[return-value]
 
@@ -104,13 +104,11 @@ class Residue(_Record):
 
     The removed incidences, (point, line index) pairs, leave four points and
     four lines of valency 2; their slot orders (`open_points`, `open_lines`)
-    are part of the residue. `companion_points`, when set, lists for each
-    open line the valency-3 point that stayed on it next to the removal.
+    are part of the residue.
     """
 
     def __init__(self, base: Configuration, removed: tuple[tuple[int, int], ...],
-                 open_points: tuple[int, int, int, int], open_lines: tuple[int, int, int, int],
-                 companion_points: tuple[int, int, int, int] | None = None):
+                 open_points: tuple[int, int, int, int], open_lines: tuple[int, int, int, int]):
         incidences = {
             (p, j) for j, line in enumerate(base.lines) for p in line
         }
@@ -126,10 +124,10 @@ class Residue(_Record):
         if len(set(removed_points)) != 4 or len(set(removed_lines)) != 4:
             raise ValueError("removals must hit four distinct points and lines")
         super().__init__(base=base, removed=removed, open_points=open_points,
-                         open_lines=open_lines, companion_points=companion_points)
+                         open_lines=open_lines)
 
     def _key(self):
-        return self.base, self.removed, self.open_points, self.open_lines, self.companion_points
+        return self.base, self.removed, self.open_points, self.open_lines
 
     def line_points(self, j: int) -> frozenset[int]:
         """Points remaining on line j after the removals."""
@@ -156,7 +154,6 @@ def mk_residue() -> Residue:
         removed=removed,
         open_points=(0, 2, 4, 6),
         open_lines=(4, 6, 0, 2),
-        companion_points=(1, 3, 5, 7),
     )
 
 
@@ -261,15 +258,16 @@ class CensusClass(namedtuple("CensusClass", "certificate aut_order specs")):
 
 @functools.cache
 def _spec_action():
-    """W, and the bridge edges of the joins keyed by the wiring they make.
+    """W, and the bridge slots each element of W sends the slots to.
 
     The residues of the identity join keep their edges; one hub joins the
     alpha side (first open lines, second open points), another the beta side
     (first open points, second open lines). The automorphisms keeping each
     residue and the hub pair setwise form W; one swapping the hubs is a
-    point-line duality of both residues at once. `edge` maps (0, i, x) to
-    the edge that sets alpha[i] = x and (1, i, x) to the one that sets
-    beta[i] = x; `slot` is its inverse on unordered edges.
+    point-line duality of both residues at once. Slot (0, i, x) is the edge
+    that sets alpha[i] = x and (1, i, x) the one that sets beta[i] = x; the
+    table maps each w in W to the slot (k, i, y) that w sends each slot to,
+    indexed 16k + 4i + x.
     """
     g = bridge_graph(BridgeSpec((0, 1, 2, 3), (0, 1, 2, 3)))
     f, mk = f_residue(), mk_residue()
@@ -287,7 +285,9 @@ def _spec_action():
     h = build(g.n + 2, [e for e in g.edges if frozenset(e) not in slot]
               + [(hub_a, v) for v in fl + mp] + [(hub_b, v) for v in fp + ml])
     cells = [[v for v in range(g.n) if g.labels[v][0] == side] for side in "fm"]
-    return automorphism_group(h, cells + [[hub_a, hub_b]]), edge, slot
+    w = automorphism_group(h, cells + [[hub_a, hub_b]])
+    return w, {p: tuple(slot[frozenset(p[u] for u in edge[key])] for key in sorted(edge))
+               for p in w.elements}
 
 
 def spec_symmetries() -> PermGroup:
@@ -301,20 +301,12 @@ def act_on_spec(w: Perm, spec: BridgeSpec) -> BridgeSpec:
     w is an element of spec_symmetries(); restricted to the 30 join
     vertices it is an isomorphism bridge_graph(spec) -> bridge_graph(result).
     """
-    images = _slot_images(w)
+    images = _spec_action()[1][w]
     image = ([0] * 4, [0] * 4)
     for j, x in enumerate(spec.alpha + spec.beta):  # j = 4k + i
         k, i, y = images[4 * j + x]
         image[k][i] = y
     return BridgeSpec(tuple(image[0]), tuple(image[1]))
-
-
-@functools.lru_cache(maxsize=256)
-def _slot_images(w: Perm) -> tuple[tuple[int, int, int], ...]:
-    """The slot w maps each bridge slot (k, i, x) to, indexed 16k + 4i + x."""
-    _, edge, slot = _spec_action()
-    return tuple(slot[frozenset(w[u] for u in edge[key])]
-                 for key in itertools.product(range(2), range(4), range(4)))
 
 
 @functools.cache

@@ -122,7 +122,11 @@ def _masks(g: Graph) -> tuple[int, ...]:
 
 
 def _neighbors(g: Graph) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(u for u in range(g.n) if m >> u & 1) for m in adjacency_masks(g))
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:  # sorted, so each vertex meets its neighbours in ascending order
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(map(tuple, nbrs))
 
 
 def adjacency_masks(g: Graph) -> tuple[int, ...]:

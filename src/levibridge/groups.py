@@ -4,9 +4,8 @@ A permutation of degree n is a tuple p of length n with p[i] = image of i.
 A group is its stabilizer chain (Schreier-Sims), which answers order,
 membership, subgroup and normality questions; a group given as an element
 set is the group those elements generate. `closure` only lists elements,
-for the structure tests that need them at orders in the hundreds; it, the
-canonical search's orbit pruning and the isomorphism check all close
-through `_orbit`.
+for the structure tests that need them at orders in the hundreds; it and
+the canonical search's orbit pruning close through `_orbit`.
 """
 
 from __future__ import annotations
@@ -225,60 +224,46 @@ def edge_action(p: Perm, edges) -> Perm:
     return tuple(out)
 
 
-def _generating_sequence(group: PermGroup) -> list[Perm]:
+def _generating_sequence(group: PermGroup) -> tuple[list[Perm], list[int]]:
     """Greedy short generating sequence, deterministic for a given group:
-    elements by descending order, each kept if it enlarges the group so far."""
-    seq = PermGroup(group.degree)
+    elements by descending order, each kept if it enlarges the group so far.
+    Also returns the order of the group each prefix of the sequence generates."""
+    seq, sizes = PermGroup(group.degree), []
     for x in sorted(group.elements, key=lambda p: (-perm_order(p), p)):
-        if seq.add(x) and seq.order == group.order:
-            break
-    return seq.generators
-
-
-def _extends_to_isomorphism(a: PermGroup, gens: list[Perm], imgs: list[Perm],
-                            b: PermGroup) -> bool:
-    """Check that gens -> imgs extends to a bijective homomorphism a -> b.
-
-    The pairs reached from (id, id) by the paired generators (g_i, h_i) form
-    the subgroup P of A x B that they generate. P is the graph of a map
-    A -> B exactly when its first coordinates are all of A and no two pairs
-    share one; the map is then a homomorphism, P being a subgroup, and a
-    bijection onto B exactly when no two pairs share a second coordinate
-    and |A| = |B|. So the test is that pairs, firsts and seconds all number
-    |A| = |B|. P holds at most |A| * |B| pairs, which the order guard of
-    `groups_isomorphic` bounds.
-    """
-    pairs = _orbit([(identity(a.degree), identity(b.degree))], list(zip(gens, imgs)),
-                   lambda xy, gh: (compose(xy[0], gh[0]), compose(xy[1], gh[1])))
-    firsts = {x for x, _ in pairs}
-    seconds = {y for _, y in pairs}
-    return len(pairs) == len(firsts) == len(seconds) == a.order == b.order
+        if seq.add(x):
+            sizes.append(seq.order)
+            if seq.order == group.order:
+                break
+    return seq.generators, sizes
 
 
 def groups_isomorphic(a: PermGroup, b: PermGroup) -> bool:
-    """Abstract isomorphism test by backtracking over generator images."""
+    """Abstract isomorphism test by backtracking over generator images.
+
+    Image h_i of g_i is kept when <g_1..g_i>, <h_1..h_i> and the pair group
+    of the g_j beside the h_j (shifted onto points a.degree...) have one
+    order. The pair group maps onto both, so the orders agree exactly when
+    it is the graph of a bijective homomorphism sending each g_j to h_j.
+    """
     if a.order > 200 or b.order > 200:
         raise GroupError("groups_isomorphic guards at order 200")
     if a.order != b.order:
         return False
     if order_profile(a) != order_profile(b):
         return False
-    gens = _generating_sequence(a)
-    if not gens:
-        return True
+    gens, sizes = _generating_sequence(a)
     by_order: dict[int, list[Perm]] = {}
     for p in sorted(b.elements):
         by_order.setdefault(perm_order(p), []).append(p)
-    sub_sizes = [PermGroup(a.degree, gens[: i + 1]).order for i in range(len(gens))]
 
     def assign(i: int, imgs: list[Perm]) -> bool:
         if i == len(gens):
-            return _extends_to_isomorphism(a, gens, imgs, b)
+            return True
         for cand in by_order.get(perm_order(gens[i]), []):
             trial = imgs + [cand]
-            if PermGroup(b.degree, trial).order != sub_sizes[i]:
-                continue
-            if assign(i + 1, trial):
+            pairs = [g + tuple(x + a.degree for x in h) for g, h in zip(gens, trial)]
+            if (PermGroup(b.degree, trial).order == sizes[i]
+                    == PermGroup(a.degree + b.degree, pairs).order and assign(i + 1, trial)):
                 return True
         return False
 

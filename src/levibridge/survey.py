@@ -144,13 +144,13 @@ def aut_structure(g: Graph | None = None) -> dict:
     )
 
     # The elements sending e to edge i form one coset pH, and Stab(pe) =
-    # pHp^-1 for each of them, so one element per target decides.
+    # pHp^-1 for each of them, so one element per target decides: it does
+    # when Stab(pe) has H's order and holds p q p^-1 for H's generators q.
     conjugate = True
     for i in range(1, 9):
         p = next((p for p, proj in projections.items() if proj[0] == i), None)
-        conjugate &= p is not None and frozenset(
-            compose(compose(p, q), inverse(p)) for q in H.elements
-        ) == stabs[i].elements
+        conjugate &= p is not None and stabs[i].order == H.order and all(
+            compose(compose(p, q), inverse(p)) in stabs[i] for q in H.generators)
 
     report = {
         "aut_order": aut.order,

@@ -196,10 +196,11 @@ def pseudo_2fi(g: Graph) -> TwoFactorReport:
 
     The histogram comes from the frontier DP. Its state count grows
     exponentially in the widest frontier of the greedy vertex order, and
-    nothing caps it: prisms and Möbius ladders (width 4) take milliseconds
-    at any n, the 30-vertex joins (widths 7-9) about 2 ms and gp(40, 3)
-    (width 8) about 15 ms, but random cubic graphs on 100 vertices (widths
-    14-17) take 2-21 s and 80-420 MB.
+    nothing caps it: the 30-vertex joins (widths 7-9) take about 2 ms and
+    gp(40, 3) (width 8) about 15 ms, but random cubic graphs on 100
+    vertices (widths 14-17) take 2-21 s and 80-420 MB. Prisms (width 4)
+    take 15 ms at 600 vertices, yet 0.24 s at 2,000 and 2.1 s at 4,000,
+    because their counts grow to hundreds of digits.
     """
     for v, m in enumerate(adjacency_masks(g)):
         if m.bit_count() != 3:

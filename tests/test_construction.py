@@ -65,6 +65,11 @@ class TestBridgeSpec:
             BridgeSpec.from_strings("201", "3102")
         with pytest.raises(ValueError):
             BridgeSpec.from_strings("2014", "3102")
+        # Only ASCII digits: other Unicode digits and superscripts are refused
+        # by name, not read as numbers or left to int().
+        for odd in ("٠١٢٣", "²013", "2013\n", "+013"):
+            with pytest.raises(ValueError, match=re.escape(f"got {odd!r}")):
+                BridgeSpec.from_strings("3102", odd)
 
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
@@ -104,7 +109,6 @@ class TestResidues:
         assert r.removed == ((0, 0), (2, 2), (4, 4), (6, 6))
         assert r.open_points == (0, 2, 4, 6)
         assert r.open_lines == (4, 6, 0, 2)  # antipodal pairing
-        assert r.companion_points == (1, 3, 5, 7)
 
     def test_mk_residue_antipodal_pairing(self):
         r = mk_residue()
@@ -115,9 +119,9 @@ class TestResidues:
         r = mk_residue()
         assert r.line_points(0) == frozenset({1, 3})
         assert r.line_points(2) == frozenset({3, 5})
-        # Companion of open line slot i stayed on the removed point's line.
-        for i, j in enumerate(r.open_lines):
-            assert r.companion_points[(j // 2)] in r.base.lines[j]
+        # Open line j keeps the odd point j + 1 beside its removed point j.
+        for j in r.open_lines:
+            assert (1, 3, 5, 7)[j // 2] in r.base.lines[j]
 
     def test_validation_rejects_non_incidence(self):
         with pytest.raises(ValueError):
@@ -593,7 +597,7 @@ class TestMarkedEdges:
         for point_vertex, line_vertex in me.m:
             p = point_vertex - 7
             j = line_vertex - 22
-            assert p in mk.companion_points
+            assert p in (1, 3, 5, 7)  # the odd points of the Moebius-Kantor residue
             assert p in mk.base.lines[j]
 
     def test_requires_labels(self):

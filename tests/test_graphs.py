@@ -269,6 +269,19 @@ class TestBuild:
         gc.collect()
         assert ref() is None
 
+    def test_neighbour_tuples_match_the_mask_scan(self):
+        # The tuples are built from the sorted edge list; scanning each
+        # vertex's mask is the definition, checked on relabelled graphs and
+        # past 62 vertices.
+        rng = random.Random(29)
+        for n in (0, 1, 2, 5, 17, 63, 64, 70, 130):
+            g = _random_graph(rng, n)
+            p = list(range(n))
+            rng.shuffle(p)
+            for h in (g, build(n, [(p[u], p[v]) for u, v in g.edges])):
+                scan = tuple(tuple(u for u in range(n) if m >> u & 1) for m in adjacency_masks(h))
+                assert tuple(h.neighbors(v) for v in range(n)) == scan
+
     def test_every_layer_caches_through_the_one_helper(self):
         """After the property battery, two colourings, the parity report and
         a neighbour lookup, the graph carries one attribute besides its

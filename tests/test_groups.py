@@ -7,6 +7,7 @@ and the chain's subgroup, normality and stabilizer answers against sympy on
 random generator sets.
 """
 
+import itertools
 import math
 import random
 
@@ -18,7 +19,6 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from levibridge.groups import (
     GroupError,
     PermGroup,
-    _extends_to_isomorphism,
     _orbit,
     closure,
     compose,
@@ -247,20 +247,6 @@ class TestOrbitRoutine:
         sg = _sympy_perms(degree, gens)
         assert union == set().union(*(sg.orbit(s) for s in seeds))
 
-    def test_extends_to_isomorphism(self):
-        c4 = cyclic(4)
-        r = c4.generators[0]
-        r2, r3 = compose(r, r), compose(r, compose(r, r))
-        assert _extends_to_isomorphism(c4, [r], [r3], c4)
-        assert _extends_to_isomorphism(z3z3(), list(z3z3().generators)[::-1],
-                                       list(z3z3().generators), z3z3())
-        # Consistent, a homomorphism even, but two-to-one.
-        assert not _extends_to_isomorphism(c4, [r], [r2], c4)
-        # Klein four into Z4, both generators to r: a * a = id would go to
-        # r^2 as well as to id, so the map is no function.
-        klein = PermGroup(4, [(1, 0, 3, 2), (2, 3, 0, 1)])
-        assert not _extends_to_isomorphism(klein, list(klein.generators), [r, r], c4)
-
 
 class TestGroupIsomorphism:
     def test_distinguishes_z9_from_z3z3(self):
@@ -271,6 +257,42 @@ class TestGroupIsomorphism:
         assert groups_isomorphic(d4xz2(), direct_product(dihedral(4), cyclic(2)))
         assert not groups_isomorphic(d4xz2(), dihedral(8))
         assert not groups_isomorphic(d4xz2(), direct_product(cyclic(8), cyclic(2)))
+
+    def test_profile_triplets_of_order_16(self):
+        """Z4 x Z4, Z4 x| Z4 = <a, b | a^4 = b^4 = 1, bab^-1 = a^-1> and Q8 x Z2
+        share the order profile, so only the generator-image search tells
+        them apart; each is isomorphic to a random conjugate of itself.
+
+        The first two act left-regularly on their 16 elements a^k b^l, point
+        4k + l; Q8 acts left-regularly on +-1, +-i, +-j, +-k, point 4s + x.
+        """
+        def regular(flip):
+            # a^k b^l -> a^(k + 1) b^l, and b a^k b^l = a^(-k if flip else k) b^(l + 1)
+            a = tuple(4 * ((k + 1) % 4) + l for k in range(4) for l in range(4))
+            b = tuple(4 * ((-k if flip else k) % 4) + (l + 1) % 4
+                      for k in range(4) for l in range(4))
+            return PermGroup(16, [a, b])
+
+        def unit(table):  # table[x] = (sign flip, axis) of the unit times axis x
+            return tuple(4 * (s ^ table[x][0]) + table[x][1] for s in range(2) for x in range(4))
+
+        q8 = PermGroup(8, [unit(((0, 1), (1, 0), (0, 3), (1, 2))),   # i
+                           unit(((0, 2), (1, 3), (1, 0), (0, 1)))])  # j
+        groups = [regular(False), regular(True), direct_product(q8, cyclic(2))]
+        assert [is_abelian(g) for g in groups] == [True, False, False]
+        for g in groups:
+            assert g.order == 16 and order_profile(g) == {4: 12, 2: 3, 1: 1}
+        for a, b in itertools.permutations(groups, 2):
+            assert not groups_isomorphic(a, b)
+        rng = random.Random(16)
+        for group in groups:
+            p = list(range(group.degree))
+            rng.shuffle(p)
+            p = tuple(p)
+            conjugate = PermGroup(group.degree, [compose(p, compose(g, inverse(p)))
+                                                 for g in group.generators])
+            assert groups_isomorphic(group, conjugate)
+            assert groups_isomorphic(conjugate, group)
 
     def test_dihedral_vs_quaternion_like(self):
         # Z4 x Z2 and D4 share the order but not the structure.

@@ -569,6 +569,15 @@ class TestCli:
         assert "gen heawood takes no arguments" in capsys.readouterr().err
         assert main(["gen", "gp", "8"]) == 1
         assert "gen gp takes two integers" in capsys.readouterr().err
+        # Only ASCII [+-]?[0-9]+: no underscores, other Unicode digits or blanks.
+        for n, k in (("1_0", "3"), ("\u0668", "3"), ("8", "\u00b3"), (" 8", "3"), ("8", "3.0")):
+            assert main(["gen", "gp", n, k]) == 1
+            bad = n if n != "8" else k
+            assert f"gen gp takes two integers, got {bad!r}" in capsys.readouterr().err
+        for a, b in (("\u0660\u0661\u0662\u0663", "0123"), ("0123", "\u00b2123")):
+            assert main(["gen", "bridge", a, b]) == 1
+            bad = a if a != "0123" else b
+            assert f"expected a 4-digit one-line image, got {bad!r}" in capsys.readouterr().err
 
     def test_gen_gp_out_of_range_exits_1(self, capsys):
         from levibridge.cli import main
