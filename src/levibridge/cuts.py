@@ -10,7 +10,10 @@ cut of at most 3 edges is trivial; in a cubic graph that holds exactly when
 the cyclic edge connectivity is None or at least 4.
 
 One loop answers both questions: maximum flows between contracted vertex
-sets, from a few *source* cycles to targets vertex-disjoint from them. A cut
+sets, from a few *source* cycles to targets vertex-disjoint from them. Each
+source's breadth-first forest is grown once; every flow from it starts with
+one unit down each branch that reaches the target, and augmenting searches
+add only the rest (see `_min_cut_between`). A cut
 that crosses a cycle holds at least 2 of its edges, so once p pairwise
 edge-disjoint sources have been processed, any cut still unseen has at least
 2p edges. Double counting bounds it for sources that share edges too: if j
@@ -90,19 +93,57 @@ def _chordless_cycles(g: Graph, cap: int) -> list[tuple[int, ...]]:
     return cycles
 
 
-def _min_cut_between(g: Graph, side_s: frozenset[int], side_t: frozenset[int],
-                     stop_at: int | None) -> tuple[int, frozenset[int] | None]:
-    """Minimum edge cut between two disjoint vertex sets (Edmonds-Karp).
+def _forest(g: Graph, side_s: frozenset[int]) -> dict[int, tuple[int, int]]:
+    """The breadth-first forest grown from all of `side_s`: each vertex it
+    reaches outside `side_s` maps to (its parent, its branch), the branch
+    being the first vertex outside `side_s` on its tree path."""
+    nbrs = _neighbor_tuples(g)
+    tree: dict[int, tuple[int, int]] = {}
+    queue = list(side_s)
+    for x in queue:
+        branch = tree[x][1] if x in tree else None
+        for y in nbrs[x]:
+            if y not in tree and y not in side_s:
+                tree[y] = (x, y if branch is None else branch)
+                queue.append(y)
+    return tree
 
-    Unit flows run on g as if each set were contracted: each search starts
-    from all of `side_s` and stops at a vertex of `side_t`. Stops once the
-    flow reaches `stop_at` (the caller only keeps smaller values) and returns
-    (stop_at, None); else returns the cut size and the last search's reach,
-    the source side of a minimum cut that lies inside every other one.
+
+def _min_cut_between(g: Graph, side_s: frozenset[int], side_t: frozenset[int],
+                     stop_at: int | None, tree: dict[int, tuple[int, int]] | None = None
+                     ) -> tuple[int, frozenset[int] | None]:
+    """Minimum edge cut between two disjoint vertex sets, by augmenting paths
+    from a flow read off `side_s`'s breadth-first forest (`_forest`, built
+    here when `tree` is None).
+
+    Unit flows run on g as if each set were contracted. The start puts one
+    unit on the tree path to one vertex of `side_t` in each branch that
+    holds one. Branches are vertex-disjoint subtrees, so these paths are
+    edge-disjoint; a path that passes another vertex of `side_t` on its way
+    leaves the contracted target and enters it again, so it still carries
+    one unit into it. Each augmenting search then starts from all of
+    `side_s`, stops at a vertex of `side_t` and adds one unit, so which
+    vertex a branch picks changes neither the value nor the number of
+    searches. Stops once the flow reaches `stop_at` (the caller only keeps
+    smaller values) and returns (stop_at, None), with no search at all when
+    the branches alone reach it; else returns the cut size and the last
+    search's reach. Any flow is a valid start, and the set reachable in the
+    residual graph of a maximum flow is the same for every maximum flow: the
+    source side of a minimum cut that lies inside every other one.
     """
     nbrs, n = _neighbor_tuples(g), g.n
+    if tree is None:
+        tree = _forest(g, side_s)
+    start = {tree[v][1]: v for v in side_t if v in tree}  # branch -> a target vertex in it
+    if stop_at is not None and len(start) >= stop_at:
+        return stop_at, None
     flow: set[int] = set()  # arcs x * n + y carrying a unit from x to y
-    value = 0
+    for y in start.values():
+        while y in tree:
+            x = tree[y][0]
+            flow.add(x * n + y)
+            y = x
+    value = len(start)
     while stop_at is None or value < stop_at:
         parent = dict.fromkeys(side_s)
         queue = list(side_s)
@@ -154,7 +195,8 @@ def _packed_search(g: Graph, cycles: list[tuple[int, ...]],
     bound), in integers. Either stop skips only flows that cannot go below
     `best`, so the value and side are the ones the flows from every source
     would give. The side is None when no flow went below the starting
-    `best`.
+    `best`. Each source's breadth-first forest (`_forest`) is built once and
+    starts all of its flows.
     """
     vertices = [frozenset(c) for c in cycles]
     edges = [_cycle_edges(c) for c in cycles]
@@ -174,9 +216,10 @@ def _packed_search(g: Graph, cycles: list[tuple[int, ...]],
         for e in edges[source]:
             load[e] = load.get(e, 0) + 1
             m = max(m, load[e])
+        tree = _forest(g, vertices[source])
         for target in targets if targets is not None else [vertices[i] for i in unprocessed]:
             if not vertices[source] & target:
-                value, reach = _min_cut_between(g, vertices[source], target, best)
+                value, reach = _min_cut_between(g, vertices[source], target, best, tree)
                 if best is None or value < best:
                     best, side = value, reach
     return best, side

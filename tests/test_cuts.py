@@ -24,6 +24,7 @@ from levibridge.cuts import (
     _chordless_cycles,
     _cycle_edges,
     _cyclic_cut,
+    _forest,
     _min_cut_between,
     _packed_search,
     _small_cut_to_edges,
@@ -32,6 +33,7 @@ from levibridge.cuts import (
 )
 from levibridge.graphs import (
     GraphError,
+    _neighbor_tuples,
     adjacency_masks,
     build,
     graph6_decode,
@@ -141,6 +143,40 @@ def _packing_only_search(g, cycles, targets, best):
                 if best is None or value < best:
                     best, side = value, reach
     return best, side
+
+
+def _unseeded_min_cut_between(g, side_s, side_t, stop_at):
+    """The earlier `cuts._min_cut_between`, kept verbatim as the oracle for
+    its forest start: every flow starts from zero and runs one augmenting
+    search per unit."""
+    nbrs, n = _neighbor_tuples(g), g.n
+    flow: set[int] = set()  # arcs x * n + y carrying a unit from x to y
+    value = 0
+    while stop_at is None or value < stop_at:
+        parent = dict.fromkeys(side_s)
+        queue = list(side_s)
+        for x in queue:
+            xn = x * n
+            for y in nbrs[x]:
+                if y not in parent and xn + y not in flow:
+                    parent[y] = x
+                    if y in side_t:
+                        break
+                    queue.append(y)
+            else:
+                continue
+            break
+        else:
+            return value, frozenset(parent)
+        while y not in side_s:
+            x = parent[y]
+            if y * n + x in flow:  # cancel a unit sent back along the edge
+                flow.remove(y * n + x)
+            else:
+                flow.add(x * n + y)
+            y = x
+        value += 1
+    return value, None
 
 
 def _pool_and_random_graphs():
@@ -397,6 +433,17 @@ class TestCyclicEdgeConnectivity:
         assert cyclic_edge_connectivity(fresh_goedgebeur) == 6
         assert 0 < len(flows) <= 48
 
+    def test_forest_start_matches_the_zero_start(self, flows):
+        # Every flow the search issues, with its own stop and with none: the
+        # same value, and the same reach, which is why the certificates stay.
+        for g in _pool_and_random_graphs():
+            _cyclic_cut(g)
+        assert len(flows) > 9000
+        for g, side_s, side_t, stop_at, tree in flows:
+            for stop in (stop_at, None):
+                assert (_min_cut_between(g, side_s, side_t, stop, tree)
+                        == _unseeded_min_cut_between(g, side_s, side_t, stop)), (g, side_s, side_t)
+
     def test_no_two_disjoint_cycles(self):
         # K4 and K3,3 are too small to hold two vertex-disjoint cycles.
         assert cyclic_edge_connectivity(build(4, itertools.combinations(range(4), 2))) is None
@@ -511,6 +558,19 @@ class TestEssentially4EdgeConnected:
         flows.clear()
         assert _small_cut_to_edges(gp(300, 1)) == (4, None) and len(flows) == 1784
 
+    def test_edge_route_matches_the_zero_start(self, monkeypatch):
+        # Past 40 vertices: prisms, random graphs, and joins across small cuts.
+        rng = random.Random(20300)
+        graphs = [gp(n, 1) for n in range(21, 31)]
+        graphs += [build(n, _random_cubic(rng, n)) for n in range(42, 81, 2)]
+        graphs += [build(*_joined(rng, k, 20, 26)) for k in (1, 2, 3)]
+        found = [_small_cut_to_edges(g) for g in graphs]
+        monkeypatch.setattr(cuts, "_min_cut_between",
+                            lambda g, side_s, side_t, stop_at, tree:
+                            _unseeded_min_cut_between(g, side_s, side_t, stop_at))
+        assert [_small_cut_to_edges(g) for g in graphs] == found
+        assert len(graphs) == 33 and {best for best, _ in found} == {1, 2, 3, 4}
+
     def test_cube_holds(self):
         ok, cert = is_essentially_4_edge_connected(gp(4, 1))
         assert ok
@@ -564,6 +624,18 @@ class TestMinCutBetween:
                                  (2, 8), (2, 11), (3, 8), (4, 6), (4, 7), (4, 9), (5, 6),
                                  (5, 8), (5, 9), (7, 11), (10, 11)]),
                       frozenset({0, 3}), frozenset({6})))
+        # Two cases for the forest start. In the cube gp(4, 1), target vertex
+        # 6 hangs below target vertex 1 in branch 1 of the forest from {0},
+        # through 2, so a start unit may run 0-1-2-6, leaving the target and
+        # entering it again. In the Petersen graph gp(5, 2), sources 0 and 2 share
+        # their neighbour 1, which is one branch with one parent.
+        cube, petersen_5_2 = gp(4, 1), gp(5, 2)
+        assert _forest(cube, frozenset({0}))[6] == (2, 1)
+        assert _forest(cube, frozenset({0}))[2] == (1, 1)
+        assert _forest(petersen_5_2, frozenset({0, 2}))[1] == (0, 1)
+        cases.append((cube, frozenset({0}), frozenset({1, 6})))
+        cases += [(petersen_5_2, frozenset({0, 2}), frozenset(t))
+                  for t in ({8, 9}, {6, 8, 9}, {3, 4, 6})]
         values = set()
         for g, side_s, side_t in cases:
             value, side = _networkx_min_cut(g, side_s, side_t)
