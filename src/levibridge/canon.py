@@ -12,12 +12,15 @@ vertex order and refined only when entered, after the orbit test: the
 found automorphisms that fix the individualized vertices skip a child in
 the orbit of one already searched. Traces prune branches that cannot win,
 and automorphisms fall out whenever two leaves carry equal keys; each one
-found is kept in a plain list, and the stabilizer chain of the group they
-generate is built only when `CanonicalForm.group` is first read, so an
-isomorphism test builds none. A leaf equal to the first leaf backjumps to
+found is kept in a plain list. A leaf equal to the first leaf backjumps to
 the node where the two paths diverge, as in nauty (McKay & Piperno,
 "Practical graph isomorphism, II", 2014), since the automorphism just
 found maps the first path's subtree onto the rest of the current one.
+The vertices individualized on the first path are a base for which the
+found automorphisms are a strong generating set, so the group's
+stabilizer chain is read off that path by orbits alone, with no sifting
+(`PermGroup.from_base`). It is built only when `CanonicalForm.group` is
+first read, so an isomorphism test builds none.
 
 None of this changes the result: the least key does not depend on the
 order of the search, the labelling returned is the least vertex sequence
@@ -41,12 +44,14 @@ from .groups import PermGroup, _orbit
 class CanonicalForm(_Record):
     """`certificate` is the canonical graph's graph6 bytes; `order[p]` is the
     original vertex at canonical position p. `automorphisms`, every one the
-    same search found in the order it found them, is not compared."""
+    same search found in the order it found them, and `base`, the vertices
+    the search individualized on its way to its first leaf, are not
+    compared; together they give `group` its stabilizer chain."""
 
     def __init__(self, certificate: bytes, order: tuple[int, ...], color_sizes: tuple[int, ...],
-                 automorphisms: tuple[tuple[int, ...], ...]):
+                 automorphisms: tuple[tuple[int, ...], ...], base: tuple[int, ...]):
         super().__init__(certificate=certificate, order=order, color_sizes=color_sizes,
-                         automorphisms=automorphisms)
+                         automorphisms=automorphisms, base=base)
 
     def _key(self):
         return self.certificate, self.order, self.color_sizes
@@ -54,8 +59,8 @@ class CanonicalForm(_Record):
     @functools.cached_property
     def group(self) -> PermGroup:
         """The group the found automorphisms generate; its stabilizer chain
-        is built on first read, and elements close lazily."""
-        return PermGroup(len(self.order), self.automorphisms)
+        along `base` is built on first read, and elements close lazily."""
+        return PermGroup.from_base(len(self.order), self.base, self.automorphisms)
 
 
 def _labelling_map(lab_a, lab_b, edges, target_edges) -> tuple[int, ...]:
@@ -247,7 +252,8 @@ def _normalize_cells(g: Graph, cells) -> tuple[tuple[int, ...], ...]:
 
 def _search_form(g: Graph, cells) -> CanonicalForm:
     search = _Search(g, cells)  # best = (path, certificate, labelling)
-    return CanonicalForm(*search.best[1:], tuple(len(c) for c in cells), tuple(search.autos))
+    return CanonicalForm(*search.best[1:], tuple(len(c) for c in cells), tuple(search.autos),
+                         search.first[3])
 
 
 def canonical_form(g: Graph, cells=None) -> CanonicalForm:

@@ -93,14 +93,19 @@ def closure(generators, degree: int) -> frozenset[Perm]:
 class PermGroup:
     """A finite permutation group, kept as its stabilizer chain.
 
-    Built by deterministic incremental Schreier-Sims (Seress, Permutation
-    Group Algorithms, 2003, ch. 4). Level i holds a base point b_i, the
-    generators of the pointwise stabilizer of b_0..b_{i-1}, and for each
-    point x of their orbit through b_i an element sending b_i to x, stored
-    with its inverse; the order is the product of the orbit lengths.
-    `generators` lists the added elements that enlarged the group, so
-    `PermGroup(degree, elements)` is the group the elements generate;
-    `elements` closes lazily.
+    Level i holds a base point b_i, the generators of the pointwise
+    stabilizer of b_0..b_{i-1}, and for each point x of their orbit
+    through b_i an element sending b_i to x, stored with its inverse; the
+    order is the product of the orbit lengths. The chain is built one of
+    two ways (Seress, Permutation Group Algorithms, 2003, ch. 4):
+    - `PermGroup(degree, elements)`, the group the elements generate, by
+      deterministic incremental Schreier-Sims; `generators` lists the
+      added elements that enlarged the group;
+    - `PermGroup.from_base(degree, base, generators)`, for a base and a
+      strong generating set already known, by orbits alone; a canonical
+      search's group is built so, and its `generators` are every
+      automorphism the search found, redundant ones included.
+    `add` extends either chain by Schreier-Sims; `elements` closes lazily.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -110,6 +115,56 @@ class PermGroup:
         self._elements: frozenset[Perm] | None = None
         for g in generators:
             self.add(g)
+
+    @classmethod
+    def from_base(cls, degree: int, base, generators) -> PermGroup:
+        """The chain of base b_0..b_k-1 whose level d is generated by the
+        generators fixing b_0..b_d-1, built by orbits with no sifting; a
+        level whose orbit is its base point alone is left out.
+
+        This is the group's chain when the generators are strong for the
+        base: for every d, those fixing b_0..b_d-1 generate A_d, the
+        pointwise stabilizer of b_0..b_d-1 in the group, and A_k is
+        trivial. The vertices b_0..b_k-1 that a canonical search
+        (`canon._Search`) individualizes on its way to its first leaf, and
+        the automorphisms it finds, are such a pair (McKay & Piperno,
+        "Practical graph isomorphism, II", 2014). A_k fixes every cell of
+        the first leaf's partition, which is discrete, so it is trivial.
+        Let F_d be the found automorphisms fixing b_0..b_d-1 and v_d the
+        first path's node at depth d; b_d, the least vertex of v_d's target
+        cell, is v_d's first child. Take w in the A_d-orbit of b_d:
+        - v_d either searches the child w or skips it as the image of a
+          searched child w' under F_d; then w' is in the A_d-orbit too;
+        - the subtree of a searched child w' != b_d holds g(first leaf)
+          for some g in A_d with g(b_d) = w'. Its path invariants are the
+          first path's, so the first-path test lets the search reach it,
+          or an image of it under automorphisms fixing a longer prefix
+          where orbit pruning skips it. Such a leaf equals the first one,
+          so the search records an automorphism in F_d sending b_d to w',
+          and its backjump returns to v_d's child loop;
+        - so the F_d-orbit of b_d is the A_d-orbit. By induction from
+          A_k, <F_d> holds <F_d+1> = A_d+1, the stabilizer of b_d in A_d,
+          so |<F_d>| >= |A_d-orbit of b_d| |A_d+1| = |A_d| and <F_d> = A_d.
+        `_Search._node` argues the same way for orbit pruning and
+        backjumping. `generators` keeps every one given, redundant or not.
+        """
+        group = cls(degree)
+        group.generators = fixing = list(generators)
+        e = identity(degree)
+        for b in base:
+            trans, queue = {b: (e, e)}, [b]
+            for x in queue:  # grows while the orbit does
+                for s in fixing:
+                    y = s[x]
+                    if y not in trans:
+                        u = compose(s, trans[x][0])
+                        trans[y] = (u, inverse(u))
+                        queue.append(y)
+            if len(queue) > 1:
+                # A copy: `add` appends to `generators` and to level 0's list.
+                group._levels.append((b, list(fixing), trans))
+            fixing = [s for s in fixing if s[b] == b]
+        return group
 
     @property
     def order(self) -> int:

@@ -1,21 +1,24 @@
 """Canonical forms, isomorphism, and automorphism groups.
 
-Four oracles: a brute-force all-relabelings canonical form for
+Five oracles: a brute-force all-relabelings canonical form for
 small graphs, networkx VF2 for isomorphism answers, networkx's vf2pp
-isomorphism enumeration for automorphism-group orders, and the earlier
+isomorphism enumeration for automorphism-group orders, the earlier
 search loop (every child refined, then sorted by its invariant; no
 backjumping), whose certificates, labellings and group orders the search
-must reproduce exactly.
+must reproduce exactly, and Schreier-Sims over the found automorphisms,
+whose group the chain read off the search's first path must equal.
 """
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levibridge import canon
+from levibridge import canon, construction
 from levibridge.canon import (
     _labelling_map,
     _Search,
@@ -44,7 +47,7 @@ from levibridge.graphs import (
     petersen,
     prism,
 )
-from levibridge.groups import PermGroup
+from levibridge.groups import PermGroup, compose
 
 
 def _random_graph(rng: random.Random, n: int):
@@ -346,16 +349,17 @@ class TestIsomorphism:
             assert tuple(sorted((phi[u], phi[v]))) in h_edges
 
     def test_builds_no_stabilizer_chain(self, fresh_goedgebeur, monkeypatch):
-        """An isomorphism test reads no automorphism group, so it adds no
-        element to a stabilizer chain; its mapping is the one the two
-        canonical labellings give."""
-        def no_chain(self, g):
+        """An isomorphism test reads no automorphism group, so it builds no
+        stabilizer chain, neither from a search's base nor by adding
+        elements; its mapping is the one the two canonical labellings give."""
+        def no_chain(*args):
             raise AssertionError("isomorphism built a stabilizer chain")
 
         tutte_8_cage = lcf([-13, -9, 7, -7, 9, 13], 5)
         graphs = (heawood(), tutte_8_cage, fresh_goedgebeur, build(12, []))
         # Patched only now: the census behind the fixture reads groups.
         monkeypatch.setattr(PermGroup, "add", no_chain)
+        monkeypatch.setattr(PermGroup, "from_base", no_chain)
         rng = random.Random(9)
         for g in graphs:
             h = _shuffle(g, rng)
@@ -527,3 +531,129 @@ class TestAutomorphisms:
         assert full.order == 8
         assert pinned.order == 2
         assert all(p[0] == 0 for p in pinned.elements)
+
+
+def _sifted_group(cf):
+    """The search's group by Schreier-Sims, sifting every Schreier generator
+    of the found automorphisms: the chain `from_base` must reproduce."""
+    return PermGroup(len(cf.order), cf.automorphisms)
+
+
+def _random_word(group, rng: random.Random):
+    """A random product of the group's generators: a member of the group."""
+    p = tuple(range(group.degree))
+    for _ in range(rng.randint(0, 6) if group.generators else 0):
+        p = compose(rng.choice(group.generators), p)
+    return p
+
+
+def _random_perm(n, rng: random.Random):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return tuple(perm)
+
+
+def _assert_chain_is_sifted_group(cf, rng: random.Random):
+    """The search's chain and Schreier-Sims's agree on order, on every
+    element when there are at most 5,000, and on 10 random permutations
+    and 10 random members; the chain's base points are `cf.base`'s, in order."""
+    group, sifted = cf.group, _sifted_group(cf)
+    assert group.order == sifted.order
+    if sifted.order <= 5000:
+        assert all(p in group for p in sifted.elements)
+    for p in [_random_perm(group.degree, rng) for _ in range(10)] \
+            + [_random_word(group, rng) for _ in range(10)]:
+        assert (p in group) == (p in sifted)
+    base = iter(cf.base)
+    assert all(b in base for b, _, _ in group._levels)
+
+
+def _chain_corpus(rng: random.Random):
+    """(graph, cells): G(n, p) graphs with n <= 12, random graphs under a
+    random 2-cell coloring, relabelled gp(n, k), relabelled unions of two
+    of K3,3, gp(5, 2), gp(7, 2) and the edgeless 4-vertex graph, and the
+    17 census representatives, relabelled."""
+    cases = [(_random_graph(rng, rng.randint(1, 12)), None) for _ in range(190)]
+    for _ in range(60):
+        g = _random_graph(rng, rng.randint(2, 12))
+        verts = _random_perm(g.n, rng)
+        cut = rng.randint(1, g.n - 1)
+        cases.append((g, [verts[:cut], verts[cut:]]))
+    for n, k in ((5, 1), (5, 2), (6, 1), (6, 2), (7, 2), (8, 1), (8, 3), (10, 2), (10, 3),
+                 (12, 5), (13, 5), (24, 5)):
+        cases.append((_shuffle(gp(n, k), rng), None))
+    parts = (k33(), gp(5, 2), gp(7, 2), build(4, []))
+    for a, b in itertools.combinations_with_replacement(parts, 2):
+        cases.append((_shuffle(_union(a, b), rng), None))
+    cases += [(_shuffle(bridge_graph(c.representative), rng), None) for c in bridge_census()]
+    return cases
+
+
+class TestSearchChain:
+    """`CanonicalForm.group` is built from the first path's base and the
+    found automorphisms, with no sifting; Schreier-Sims is its oracle."""
+
+    def test_matches_schreier_sims_on_a_corpus(self):
+        rng = random.Random(3131)
+        cases = _chain_corpus(rng)
+        assert len(cases) == 289
+        for g, cells in cases:
+            _assert_chain_is_sifted_group(canonical_form(g, cells), rng)
+
+    def test_matches_schreier_sims_on_the_hub_search(self, monkeypatch):
+        """W's search: the identity join with hubs, under its three cells."""
+        searched = []
+
+        def recorded(g, cells=None):
+            searched.append((g, cells))
+            return automorphism_group(g, cells)
+
+        monkeypatch.setattr(construction, "automorphism_group", recorded)
+        w, _ = construction._spec_action.__wrapped__()
+        (h, cells), = searched
+        cf = canonical_form(h, cells)
+        assert w is cf.group and w.order == 128
+        _assert_chain_is_sifted_group(cf, random.Random(3232))
+
+    def test_add_extends_a_search_chain_as_schreier_sims_does(self):
+        """An automorphism of the uncolored graph added to the colored
+        search's group gives the order Schreier-Sims gives; adding them all
+        gives the uncolored group."""
+        cases = [(build(8, [(i, (i + 1) % 8) for i in range(8)]), [[0], range(1, 8)]),
+                 (petersen(), [[0, 1], range(2, 10)]),
+                 (heawood(), [[0], range(1, 7), range(7, 14)]),
+                 (_union(k33(), k33()), [range(6), range(6, 12)])]
+        for g, cells in cases:
+            full, cf = canonical_form(g), canonical_form(g, cells)
+            pinned = cf.group
+            extra = next(p for p in full.automorphisms if p not in pinned)
+            assert pinned.add(extra)
+            assert pinned.order == PermGroup(g.n, cf.automorphisms + (extra,)).order
+            for p in full.automorphisms:
+                pinned.add(p)
+            assert pinned.order == full.group.order
+
+    def test_search_groups_sift_nothing(self, monkeypatch):
+        """With Schreier-Sims disabled, |Aut| and membership still work on
+        the `iso` benchmark's named graphs and the 17 census representatives,
+        all fresh copies: a member is exactly an automorphism."""
+        pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "data"
+                           / "iso_pool.json").read_text())
+        cases = [(graph6_decode(item["g6"]), item["aut_order"]) for item in pool["named"]]
+        for c in bridge_census():
+            g = bridge_graph(c.representative)
+            cases.append((build(g.n, g.edges), c.aut_order))
+
+        def no_sifting(self, i, g):
+            raise AssertionError("a search group sifted a Schreier generator")
+
+        monkeypatch.setattr(PermGroup, "_extend", no_sifting)
+        rng = random.Random(3333)
+        for g, order in cases:
+            group = automorphism_group(g)
+            assert group.order == order
+            edges = set(g.edges)
+            for p in [_random_word(group, rng) for _ in range(5)] \
+                    + [_random_perm(g.n, rng) for _ in range(5)]:
+                image = {tuple(sorted((p[u], p[v]))) for u, v in g.edges}
+                assert (p in group) == (image == edges)

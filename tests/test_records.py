@@ -43,9 +43,9 @@ def test_labels_take_no_part_in_equality_or_hashing():
 
 def test_canonical_forms_differing_only_in_automorphisms_are_equal():
     cf = canonical_form(petersen())
-    other = CanonicalForm(cf.certificate, cf.order, cf.color_sizes, automorphisms=())
+    other = CanonicalForm(cf.certificate, cf.order, cf.color_sizes, automorphisms=(), base=())
     assert other == cf and hash(other) == hash(cf)
-    assert CanonicalForm(cf.certificate, cf.order, (5, 5), cf.automorphisms) != cf
+    assert CanonicalForm(cf.certificate, cf.order, (5, 5), cf.automorphisms, cf.base) != cf
 
 
 def test_bridge_spec_keeps_its_value_semantics():
