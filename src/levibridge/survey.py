@@ -109,11 +109,8 @@ def aut_structure(g: Graph | None = None) -> dict:
         p for p in aut.elements if perm_order(p) in (1, 3, 9)
     )
     K = PermGroup(aut.degree, k_elements)
-    stabs = [
-        PermGroup(aut.degree, (p for p, proj in projections.items() if proj[i] == i))
-        for i in range(9)
-    ]
-    H = stabs[0]  # marked[0] is e
+    stabilizer_orders = [sum(proj[i] == i for proj in projections.values()) for i in range(9)]
+    H = PermGroup(aut.degree, (p for p, proj in projections.items() if proj[0] == 0))  # fixes e
     sd_ok, sd_report = semidirect_certificate(aut, K, H)
 
     sigma_two_m = sigma_two_f = rho = delta = False
@@ -145,12 +142,13 @@ def aut_structure(g: Graph | None = None) -> dict:
 
     # The elements sending e to edge i form one coset pH, and Stab(pe) =
     # pHp^-1 for each of them, so one element per target decides: it does
-    # when Stab(pe) has H's order and holds p q p^-1 for H's generators q.
+    # when Stab(pe) has H's order and each p q p^-1, for H's generators q,
+    # fixes edge i. p q p^-1 lies in Aut, so it has a row in the table.
     conjugate = True
     for i in range(1, 9):
         p = next((p for p, proj in projections.items() if proj[0] == i), None)
-        conjugate &= p is not None and stabs[i].order == H.order and all(
-            compose(compose(p, q), inverse(p)) in stabs[i] for q in H.generators)
+        conjugate &= p is not None and stabilizer_orders[i] == H.order and all(
+            projections[compose(compose(p, q), inverse(p))][i] == i for q in H.generators)
 
     report = {
         "aut_order": aut.order,
@@ -177,7 +175,7 @@ def aut_structure(g: Graph | None = None) -> dict:
         "rho": rho,
         "delta": delta,
         "tau_count": tau_found,
-        "stabilizer_orders": [s.order for s in stabs],
+        "stabilizer_orders": stabilizer_orders,
         "stabilizers_conjugate": conjugate,
     }
     return _settle(report, {

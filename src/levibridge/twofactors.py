@@ -104,17 +104,19 @@ def _frontier_order(g: Graph) -> tuple[list[int], int]:
 _OPEN, _DONE = 0, 1  # slot codes for degree 0 and degree 2; 2 + j is a path end
 
 
-def _rule(a: int, b: int, i: int, k: int, need_u: int, need_v: int, reset: int, bits: int):
+def _rule(a: int, b: int, i: int, k: int, left_u: int, left_v: int, bits: int):
     """XOR masks that leave out and take an edge from slot i with code a to
-    slot k with code b (None if barred), and whether taking it closes a cycle."""
-    keep = (reset if (1 if a > 1 else 2 * a) >= need_u and (1 if b > 1 else 2 * b) >= need_v
-            else None)
+    slot k with code b (None if barred), and whether taking it closes a cycle.
+    An end with no undecided edge left (left_u, left_v) has its slot cleared."""
+    clear = (0 if left_u else _DONE << i * bits) | (0 if left_v else _DONE << k * bits)
+    degree_u, degree_v = (1 if a > 1 else 2 * a), (1 if b > 1 else 2 * b)
+    keep = clear if degree_u >= 2 - left_u and degree_v >= 2 - left_v else None
     if _DONE in (a, b):
         return keep, None, 0
     # Path ends become _DONE and the far ends eu, ev point at each other. If
     # u and v end one path, eu = k and ev = i: the edge closes a cycle.
     eu, ev = a - 2 if a else i, b - 2 if b else k
-    take = reset ^ ((a and 2 + i) ^ 2 + ev) << eu * bits ^ ((b and 2 + k) ^ 2 + eu) << ev * bits
+    take = clear ^ ((a and 2 + i) ^ 2 + ev) << eu * bits ^ ((b and 2 + k) ^ 2 + eu) << ev * bits
     return keep, take ^ (a and a ^ _DONE) << i * bits ^ (b and b ^ _DONE) << k * bits, eu == k
 
 
@@ -134,11 +136,13 @@ def _frontier_histogram(g: Graph) -> tuple[tuple[int, int], ...]:
     a slot, holding _OPEN, _DONE or, for a path end, 2 + the far end's
     slot. A step's vertex takes the lowest free slot while its placed
     neighbours keep theirs, so at most width + 1 slots are live and codes
-    stay below width + 3, which `bits` holds. A vertex is freed at degree
-    2, so a free slot holds _DONE in every state: freeing merges and copies
-    nothing, and `_rule`'s reset clears the slot at its next vertex's first
-    edge (a component's first vertex has none, but then one state is left).
-    Each edge memoises `_rule`, which reads only the codes of its two ends.
+    stay below width + 3, which `bits` holds. A free slot holds _OPEN in every
+    state, because a vertex's last edge clears its slot by XOR with _DONE. It
+    is exact: a vertex's edges leave 2, 1, then 0 undecided. At the second,
+    leaving it out needs degree 1, so an _OPEN vertex takes it; at the last,
+    leaving it out needs _DONE, and taking it lifts a path end to _DONE. Each
+    edge memoises `_rule`, which reads only the codes of its two ends and
+    their undecided-edge counts, fixed per edge.
 
     A state's value is the polynomial sum_c N_c x^c, where N_c counts the
     partial 2-factors that reach the state with c closed cycles, packed in
@@ -157,23 +161,18 @@ def _frontier_histogram(g: Graph) -> tuple[tuple[int, int], ...]:
     live, states = 0, {0: 1}  # live: the live slots, as a mask
     for v in order:
         back = [u for u in nbrs[v] if slot[u] >= 0]
-        if not back:  # all slots are free, so there is at most one state
-            states = {0: val for val in states.values()}
         k = slot[v] = (~live & live + 1).bit_length() - 1
         live, sk = live | 1 << k, k * bits
-        stale = next(iter(states), 0) >> sk & ones  # free: _OPEN or _DONE in all states
         for u in back:
             i, si = slot[u], slot[u] * bits
-            left[u] -= 1
-            left[v] -= 1
-            need_u, need_v = 2 - left[u], 2 - left[v]  # degrees to leave it out
+            left[u], left[v] = left[u] - 1, left[v] - 1
             rules, step = [None] * (1 << 2 * bits), {}
             for s, val in states.items():
                 codes = (s >> si & ones) << bits | s >> sk & ones
                 rule = rules[codes]
                 if rule is None:
-                    rule = rules[codes] = _rule(codes >> bits, codes & ones ^ stale, i, k,
-                                                need_u, need_v, stale << sk, bits)
+                    rule = rules[codes] = _rule(codes >> bits, codes & ones, i, k,
+                                                left[u], left[v], bits)
                 keep, take, closed = rule
                 if keep is not None:
                     t = s ^ keep
@@ -181,7 +180,7 @@ def _frontier_histogram(g: Graph) -> tuple[tuple[int, int], ...]:
                 if take is not None:
                     t = s ^ take
                     step[t] = step.get(t, 0) + (val << closed * shift)
-            states, stale = step, 0
+            states = step
         for x in (v, *back):
             if not left[x]:
                 live ^= 1 << slot[x]

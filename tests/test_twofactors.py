@@ -7,7 +7,8 @@ a recursive enumerate-then-count reference checks the parity report of
 cubic graphs on up to 30 vertices. An iterative matching walk, the engine
 the frontier DP replaced, is the oracle for its cycle-count histogram on
 wider inputs, and the DP's first, tuple-keyed form on inputs too wide for
-the walk.
+the walk. On disjoint unions the histogram must be the product of the
+parts' histograms.
 """
 
 import itertools
@@ -565,6 +566,41 @@ class TestFrontierHistogram:
         graphs += [_relabelled(rng, n, edges), _no_two_factor_gadget(), build(0, [])]
         for g in graphs:
             assert pseudo_2fi(g).histogram == _tuple_frontier_histogram(g), g
+
+    def test_disjoint_unions_multiply_histograms(self):
+        # A 2-factor of a disjoint union is one 2-factor of each part, so the
+        # union's histogram is the product of the parts' as polynomials in
+        # the cycle count. Every component after the first starts on slots
+        # that earlier components freed.
+        def product(histograms):
+            poly = {0: 1}
+            for hist in histograms:
+                step = Counter()
+                for c, count in poly.items():
+                    for d, m in hist:
+                        step[c + d] += count * m
+                poly = step
+            return tuple(sorted(poly.items()))
+
+        rng = random.Random(20321)
+        k4 = build(4, itertools.combinations(range(4), 2))
+        named = [k4, k33(), petersen(), heawood(), gp(7, 2), _no_two_factor_gadget()]
+        for _ in range(30):
+            parts = []
+            for _ in range(rng.randrange(2, 6)):
+                if rng.random() < 0.25:
+                    n = rng.randrange(10, 21, 2)
+                    parts.append(build(n, _random_cubic_edges(rng, n)))
+                else:
+                    parts.append(rng.choice(named))
+            edges, n = [], 0
+            for h in parts:
+                edges += [(u + n, v + n) for u, v in h.edges]
+                n += h.n
+            expected = product(pseudo_2fi(h).histogram for h in parts)
+            assert pseudo_2fi(_relabelled(rng, n, edges)).histogram == expected, parts
+        many = build(160, [(u + 4 * j, v + 4 * j) for j in range(40) for u, v in k4.edges])
+        assert pseudo_2fi(many).histogram == ((40, 3**40),)
 
     def test_widths_of_the_greedy_order(self):
         def width(g):
