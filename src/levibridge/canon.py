@@ -19,8 +19,8 @@ found maps the first path's subtree onto the rest of the current one.
 The vertices individualized on the first path are a base for which the
 found automorphisms are a strong generating set, so the group's
 stabilizer chain is read off that path by orbits alone, with no sifting
-(`PermGroup.from_base`). It is built only when `CanonicalForm.group` is
-first read, so an isomorphism test builds none.
+(`PermGroup.from_base`). It is built on each read of
+`CanonicalForm.group`, so an isomorphism test builds none.
 
 None of this changes the result: the least key does not depend on the
 order of the search, the labelling returned is the least vertex sequence
@@ -34,8 +34,6 @@ vertices.
 """
 
 from __future__ import annotations
-
-import functools
 
 from .graphs import Graph, GraphError, _cached, _graph6, _mask, _Record, adjacency_masks
 from .groups import PermGroup, _orbit
@@ -56,10 +54,11 @@ class CanonicalForm(_Record):
     def _key(self):
         return self.certificate, self.order, self.color_sizes
 
-    @functools.cached_property
+    @property
     def group(self) -> PermGroup:
-        """The group the found automorphisms generate; its stabilizer chain
-        along `base` is built on first read, and elements close lazily."""
+        """The group the found automorphisms generate; a new stabilizer
+        chain along `base` is built on each read, so every caller owns the
+        group it gets, and elements close lazily."""
         return PermGroup.from_base(len(self.order), self.base, self.automorphisms)
 
 

@@ -17,7 +17,7 @@ import functools
 import itertools
 from collections import namedtuple
 
-from .canon import CanonicalForm, automorphism_group, canonical_form
+from .canon import automorphism_group, canonical_form
 from .graphs import (
     Graph,
     _mask,
@@ -323,7 +323,7 @@ def bridge_census() -> tuple[CensusClass, ...]:
     """
     w = spec_symmetries()
     seen: set[BridgeSpec] = set()
-    first: dict[bytes, CanonicalForm] = {}
+    aut_orders: dict[bytes, int] = {}
     groups: dict[bytes, list[BridgeSpec]] = {}
     for spec in all_bridge_specs():
         if spec in seen:
@@ -342,15 +342,16 @@ def bridge_census() -> tuple[CensusClass, ...]:
                 f"!= |W| = {w.order}"
             )
         cf = canonical_form(bridge_graph(spec))
-        if cf.group.order % stab:
+        aut = cf.group.order
+        if aut % stab:
             raise StructureError(
                 f"W-stabilizer of {spec} has order {stab}, which does not "
-                f"divide |Aut| = {cf.group.order}"
+                f"divide |Aut| = {aut}"
             )
-        first.setdefault(cf.certificate, cf)
+        aut_orders.setdefault(cf.certificate, aut)
         groups.setdefault(cf.certificate, []).extend(orbit)
     classes = [
-        CensusClass(cert, first[cert].group.order,
+        CensusClass(cert, aut_orders[cert],
                     tuple(sorted(specs, key=lambda s: s.rank)))
         for cert, specs in groups.items()
     ]

@@ -37,7 +37,7 @@ class _Record:
     once; assigning or deleting an attribute afterwards raises
     AttributeError. Equality, hashing and repr read only `_key()`, so a
     field it leaves out (labels, found automorphisms) is not compared. The
-    `__dict__` stays, for the per-graph cache and `cached_property`.
+    `__dict__` stays, for the per-graph cache only.
     """
 
     def __init__(self, **fields):

@@ -95,9 +95,9 @@ class PermGroup:
 
     Level i holds a base point b_i, the generators of the pointwise
     stabilizer of b_0..b_{i-1}, and for each point x of their orbit
-    through b_i an element sending b_i to x, stored with its inverse; the
-    order is the product of the orbit lengths. The chain is built one of
-    two ways (Seress, Permutation Group Algorithms, 2003, ch. 4):
+    through b_i one element u with u(b_i) = x; the order is the product of
+    the orbit lengths. The chain is built one of two ways (Seress,
+    Permutation Group Algorithms, 2003, ch. 4):
     - `PermGroup(degree, elements)`, the group the elements generate, by
       deterministic incremental Schreier-Sims; `generators` lists the
       added elements that enlarged the group;
@@ -111,7 +111,7 @@ class PermGroup:
     def __init__(self, degree: int, generators=()):
         self.degree = degree
         self.generators: list[Perm] = []
-        self._levels: list[tuple[int, list[Perm], dict[int, tuple[Perm, Perm]]]] = []
+        self._levels: list[tuple[int, list[Perm], dict[int, Perm]]] = []
         self._elements: frozenset[Perm] | None = None
         for g in generators:
             self.add(g)
@@ -152,13 +152,12 @@ class PermGroup:
         group.generators = fixing = list(generators)
         e = identity(degree)
         for b in base:
-            trans, queue = {b: (e, e)}, [b]
+            trans, queue = {b: e}, [b]
             for x in queue:  # grows while the orbit does
                 for s in fixing:
                     y = s[x]
                     if y not in trans:
-                        u = compose(s, trans[x][0])
-                        trans[y] = (u, inverse(u))
+                        trans[y] = compose(s, trans[x])
                         queue.append(y)
             if len(queue) > 1:
                 # A copy: `add` appends to `generators` and to level 0's list.
@@ -180,17 +179,21 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
     def __contains__(self, p: Perm) -> bool:
-        return self._sift(p, 0) == identity(self.degree)
+        a, b = self._sift(identity(self.degree), p, 0)
+        return a == b
 
-    def _sift(self, p: Perm, level: int) -> Perm:
-        """Strip p through the levels from `level` on; the identity means
-        p lies in that level's group."""
-        for b, _, trans in self._levels[level:]:
-            u = trans.get(p[b])
+    def _sift(self, a: Perm, b: Perm, level: int) -> tuple[Perm, Perm]:
+        """Strip p = a^-1 b through the levels from `level` on, kept as that
+        quotient so that no inverse is taken: at base point c, p(c) is
+        a.index(b[c]), and stripping by u turns p into (a u)^-1 b. The
+        residue a^-1 b is the identity, so p lies in that level's group,
+        exactly when the returned a equals the returned b."""
+        for c, _, trans in self._levels[level:]:
+            u = trans.get(a.index(b[c]))
             if u is None:
                 break
-            p = compose(u[1], p)
-        return p
+            a = compose(a, u)
+        return a, b
 
     def add(self, g: Perm) -> bool:
         """Extend the group by g; False, changing nothing, if g is in it."""
@@ -207,28 +210,26 @@ class PermGroup:
     def _extend(self, i: int, g: Perm) -> None:
         """Add g, which fixes b_0..b_{i-1}, to the generators of level i.
 
-        Every Schreier generator of level i must lie in level i + 1's
-        group; one that does not is added there in turn. Earlier Schreier
-        generators lie in that group already (it only grows), so only the
-        pairs with g or with a new orbit point are sifted.
+        Every Schreier generator trans[y]^-1 s trans[x] of level i must lie
+        in level i + 1's group; one that does not is added there in turn.
+        Earlier ones lie in that group already (it only grows), so only the
+        pairs with g or with a new orbit point are sifted, as quotients.
         """
         if i == len(self._levels):
             b = next(x for x in range(self.degree) if g[x] != x)
-            e = identity(self.degree)
-            self._levels.append((b, [], {b: (e, e)}))
+            self._levels.append((b, [], {b: identity(self.degree)}))
         _, gens, trans = self._levels[i]
         gens.append(g)
         pairs = [(x, g) for x in trans]
         for x, s in pairs:  # grows while the orbit does
             y = s[x]
             if y not in trans:
-                u = compose(s, trans[x][0])
-                trans[y] = (u, inverse(u))
+                trans[y] = compose(s, trans[x])
                 pairs.extend((y, t) for t in gens)
                 continue  # its Schreier generator is the identity
-            residue = self._sift(compose(trans[y][1], compose(s, trans[x][0])), i + 1)
-            if residue != identity(self.degree):
-                self._extend(i + 1, residue)
+            a, b = self._sift(trans[y], compose(s, trans[x]), i + 1)
+            if a != b:
+                self._extend(i + 1, compose(inverse(a), b))
 
 
 def is_subgroup(sub: PermGroup, group: PermGroup) -> bool:

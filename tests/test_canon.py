@@ -612,7 +612,7 @@ class TestSearchChain:
         w, _ = construction._spec_action.__wrapped__()
         (h, cells), = searched
         cf = canonical_form(h, cells)
-        assert w is cf.group and w.order == 128
+        assert w.generators == list(cf.automorphisms) and w.order == 128
         _assert_chain_is_sifted_group(cf, random.Random(3232))
 
     def test_add_extends_a_search_chain_as_schreier_sims_does(self):
@@ -632,6 +632,36 @@ class TestSearchChain:
             for p in full.automorphisms:
                 pinned.add(p)
             assert pinned.order == full.group.order
+
+    def test_returned_group_is_the_callers_own(self):
+        """Each read of `CanonicalForm.group` builds a new chain, so an
+        automorphism one caller adds is not in the next caller's group."""
+        cases = [(build(8, [(i, (i + 1) % 8) for i in range(8)]), [[0], range(1, 8)], 2),
+                 (petersen(), [[0, 1], range(2, 10)], 8)]
+        for g, cells, order in cases:
+            mine = automorphism_group(g, cells)
+            extra = next(p for p in canonical_form(g).automorphisms if p not in mine)
+            assert mine.add(extra) and mine.order > order
+            again = automorphism_group(g, cells)
+            assert again.order == order and extra not in again
+
+    def test_transversals_send_the_base_point_to_each_orbit_point(self):
+        """A level keeps one permutation u per orbit point x, with u(b) = x
+        for its base point b: in the search's chains, in Schreier-Sims's
+        over the same automorphisms, and in Sym(n) from a shift and a swap."""
+        groups = []
+        for g, cells in _chain_corpus(random.Random(3131)):
+            cf = canonical_form(g, cells)
+            groups += [cf.group, _sifted_group(cf)]
+        assert len(groups) == 2 * 289
+        for n in range(1, 9):
+            shift = tuple((i + 1) % n for i in range(n))
+            swap = (1, 0) + tuple(range(2, n)) if n > 1 else (0,)
+            groups.append(PermGroup(n, [shift, swap]))
+        for group in groups:
+            for b, _, trans in group._levels:
+                for x, u in trans.items():
+                    assert sorted(u) == list(range(group.degree)) and u[b] == x
 
     def test_search_groups_sift_nothing(self, monkeypatch):
         """With Schreier-Sims disabled, |Aut| and membership still work on

@@ -157,8 +157,11 @@ class TestStabChain:
     @given(_generator_sets())
     def test_order_matches_closure_and_sympy(self, case):
         degree, gens = case
-        order = PermGroup(degree, gens).order
-        assert order == len(closure(gens, degree)) == _sympy_order(degree, gens)
+        group, elements = PermGroup(degree, gens), closure(gens, degree)
+        assert group.order == len(elements) == _sympy_order(degree, gens)
+        rng = random.Random(repr(case))
+        for p in (tuple(rng.sample(range(degree), degree)) for _ in range(5)):
+            assert (p in group) == (p in elements)
 
     def test_identity_cyclic_and_symmetric(self):
         for n in range(1, 9):
