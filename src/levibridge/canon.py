@@ -1,26 +1,28 @@
 """Canonical labeling, isomorphism and automorphisms by individualization-refinement.
 
-Cells and splitters are vertex bitmasks. Refinement to equitability
-touches only the cells that meet a splitter's neighbourhood and counts
-only the vertices there; a one-vertex splitter, the first of every child,
-splits by mask operations alone, and a split queues every fragment but the
-last, which splits nothing. The search individualizes vertices of the
-first largest cell and keeps the least leaf key: the refinement path, then
-the graph6 bytes of the graph the leaf relabels (`graphs._graph6`). The
-best leaf's bytes are the certificate. Children are visited in ascending
-vertex order and refined only when entered, after the orbit test: the
-found automorphisms that fix the individualized vertices skip a child in
-the orbit of one already searched. Traces prune branches that cannot win,
-and automorphisms fall out whenever two leaves carry equal keys; each one
-found is kept in a plain list. A leaf equal to the first leaf backjumps to
-the node where the two paths diverge, as in nauty (McKay & Piperno,
-"Practical graph isomorphism, II", 2014), since the automorphism just
-found maps the first path's subtree onto the rest of the current one.
-The vertices individualized on the first path are a base for which the
-found automorphisms are a strong generating set, so the group's
+Cells and splitters are vertex bitmasks. Refinement to equitability touches
+only the cells that meet a splitter's neighbourhood and counts only the
+vertices there; a one-vertex splitter, the first of every child, splits by
+mask operations alone, and a split queues every fragment but the last,
+which splits nothing. The search individualizes vertices of the first
+largest cell and keeps the least leaf key: the refinement path, then the
+graph6 bytes of the graph the leaf relabels (`graphs._graph6`). The best
+leaf's bytes are the certificate. Two leaves have equal keys exactly when
+their paths are equal and lab_a[p] -> lab_b[p] sends edges to edges, so a
+leaf on the first or best leaf's path is tested as an automorphism of that
+leaf before it is encoded; each one found is kept in a plain list. Children
+are visited in ascending vertex order and refined only when entered, after
+the orbit test: the found automorphisms fixing the individualized vertices,
+a list each child inherits from its parent, skip a child in the orbit of
+one already searched. Traces prune branches that cannot win. A leaf equal
+to the first leaf backjumps to the node where the two paths diverge, as in
+nauty (McKay & Piperno, "Practical graph isomorphism, II", 2014), since the
+automorphism just found maps the first path's subtree onto the rest of the
+current one. The vertices individualized on the first path are a base for
+which the found automorphisms are a strong generating set, so the group's
 stabilizer chain is read off that path by orbits alone, with no sifting
-(`PermGroup.from_base`). It is built on each read of
-`CanonicalForm.group`, so an isomorphism test builds none.
+(`PermGroup.from_base`). It is built on each read of `CanonicalForm.group`,
+so an isomorphism test builds none.
 
 None of this changes the result: the least key does not depend on the
 order of the search, the labelling returned is the least vertex sequence
@@ -62,17 +64,24 @@ class CanonicalForm(_Record):
         return PermGroup.from_base(len(self.order), self.base, self.automorphisms)
 
 
-def _labelling_map(lab_a, lab_b, edges, target_edges) -> tuple[int, ...]:
-    """The vertex map lab_a[p] -> lab_b[p], checked to send every edge into
-    target_edges: two labellings giving one certificate must yield it."""
+def _edge_map(lab_a, lab_b, edges, target_edges):
+    """The map lab_a[p] -> lab_b[p] if it sends edges into target_edges, else None."""
     phi = [0] * len(lab_a)
     for a, b in zip(lab_a, lab_b):
         phi[a] = b
     for u, v in edges:
         a, b = phi[u], phi[v]
         if ((a, b) if a < b else (b, a)) not in target_edges:
-            raise AssertionError("labellings with equal certificates gave a non-isomorphism")
+            return None
     return tuple(phi)
+
+
+def _labelling_map(lab_a, lab_b, edges, target_edges) -> tuple[int, ...]:
+    """`_edge_map`, which two labellings giving one certificate must pass."""
+    phi = _edge_map(lab_a, lab_b, edges, target_edges)
+    if phi is None:
+        raise AssertionError("labellings with equal certificates gave a non-isomorphism")
+    return phi
 
 
 def _refine(adj, cells, queue):
@@ -154,26 +163,16 @@ class _Search:
         self.autos = []  # every automorphism found, in order
         masks = [_mask(c) for c in cells]
         root, trace = _refine(self.adj, masks, list(masks))
-        inv = (tuple(c.bit_count() for c in root), trace)
-        self._node(root, (inv,), ())
+        self._node(root, ((tuple(map(int.bit_count, root)), trace),), (), [])
 
-    def _leaf_cert(self, cells) -> tuple[bytes, tuple[int, ...]]:
-        lab = tuple(c.bit_length() - 1 for c in cells)
-        pos = [0] * self.n
-        for p, v in enumerate(lab):
-            pos[v] = p
-        return _graph6(self.n, [(pos[u], pos[v]) for u, v in self.edges]), lab
-
-    def _record_auto(self, lab_a, lab_b):
-        if lab_a != lab_b:
-            self.autos.append(_labelling_map(lab_a, lab_b, self.edges, self.edge_set))
-
-    def _prefix_beats(self, path, ref) -> bool:
-        """True when ref (a stored full path) is still reachable from path."""
-        return ref is None or path <= ref[0][: len(path)]
-
-    def _node(self, cells, path, prefix):
+    def _node(self, cells, path, prefix, fixing):
         """Search the subtree below `prefix`, children in ascending vertex order.
+
+        `fixing`, the node's own list, holds the found automorphisms fixing the
+        prefix: the parent's that fix the node's vertex, then those found since
+        entry that fix the whole prefix (a leaf off the first path can give one
+        moving it). A leaf on the first or best leaf's path is first tested as
+        an automorphism of it: equal path and edge map is equal key.
 
         Returns None, or the depth to backjump to. The returned labelling
         is the one children sorted by (inv, v) would give:
@@ -191,49 +190,58 @@ class _Search:
           generated by those found.
         Certificate, labelling and |Aut| are therefore unchanged.
         """
-        ok_best = self._prefix_beats(path, self.best)
-        ok_first = self.first is not None and path == self.first[0][: len(path)]
-        if not ok_best and not ok_first:
-            return None
+        first, best = self.first, self.best
+        if first is not None and path != first[0][: len(path)] and path > best[0][: len(path)]:
+            return None  # off the first path, and it cannot beat the best
         if len(cells) == self.n:  # discrete: a leaf
-            cert, lab = self._leaf_cert(cells)
-            key = (path, cert)
-            if self.first is None:
-                self.first = (path, cert, lab, prefix)
-                self.best = (path, cert, lab)
-            elif key == self.first[:2]:
-                # The automorphism maps the first leaf here, and the first
-                # path's subtree below the divergence onto this one.
-                self._record_auto(self.first[2], lab)
-                return next(d for d, (a, b) in enumerate(zip(self.first[3], prefix)) if a != b)
-            elif key < self.best[:2]:
-                self.best = (path, cert, lab)
-            elif key == self.best[:2]:
-                self._record_auto(self.best[2], lab)
+            lab = tuple(c.bit_length() - 1 for c in cells)
+            for ref in () if first is None else (first, best):
+                if path == ref[0] and (phi := _edge_map(ref[2], lab, self.edges,
+                                                        self.edge_set)) is not None:
+                    self.autos.append(phi)
+                    if ref is not first:
+                        return None
+                    # The automorphism maps the first leaf here, and the first
+                    # path's subtree below the divergence onto this one.
+                    return next(d for d, (a, b) in enumerate(zip(first[3], prefix)) if a != b)
+            pos = [0] * self.n
+            for p, v in enumerate(lab):
+                pos[v] = p
+            key = (path, _graph6(self.n, [(pos[u], pos[v]) for u, v in self.edges]))
+            if first is None:
+                self.first = key + (lab, prefix)
+                self.best = key + (lab,)
+            elif key < best[:2]:
+                self.best = key + (lab,)
             return None
-        sizes = [c.bit_count() for c in cells]
+        sizes = tuple(map(int.bit_count, cells))
         target = sizes.index(max(sizes))
         cell = cells[target]
+        before, after = cells[:target], cells[target + 1:]
         # A found automorphism fixing the prefix maps the subtree of a
         # searched child w onto that of v; skipping v loses no leaf
         # certificate and, the subtree being an image, no automorphism the
-        # found ones do not generate. `covered` is the union of the tried
-        # children's orbits under those automorphisms.
-        tried, covered, seen = [], set(), None
+        # found ones do not generate. `covered`, the union of the tried
+        # children's orbits under them, re-closes from itself as they grow.
         autos = self.autos
-        for v in (v for v in range(self.n) if cell >> v & 1):
+        seen, covered, last, rest = len(autos), set(), None, cell
+        while rest:  # the cell's vertices, lowest first
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
             if seen != len(autos):  # a child found automorphisms: orbits may merge
+                fixing += [p for p in autos[seen:] if all(p[x] == x for x in prefix)]
                 seen = len(autos)
-                fixing = [p for p in autos if all(p[x] == x for x in prefix)]
-                covered = _orbit(tried, fixing, lambda x, p: p[x])
+                last, covered = None, _orbit(covered, fixing, lambda x, p: p[x])
+            elif last is not None:  # the last child's orbit, closed once it is needed
+                last, covered = None, covered | _orbit((last,), fixing, lambda x, p: p[x])
             if v in covered:
                 continue
-            tried.append(v)
-            covered |= _orbit((v,), fixing, lambda x, p: p[x])
-            child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1:]
-            refined, trace = _refine(self.adj, child, [1 << v])
-            inv = (tuple(c.bit_count() for c in refined), trace)
-            jump = self._node(refined, path + (inv,), prefix + (v,))
+            covered.add(v)
+            last = v
+            refined, trace = _refine(self.adj, before + [bit, cell ^ bit] + after, [bit])
+            jump = self._node(refined, path + ((tuple(map(int.bit_count, refined)), trace),),
+                              prefix + (v,), [p for p in fixing if p[v] == v])
             if jump is not None and jump < len(prefix):
                 return jump
         return None

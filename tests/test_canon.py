@@ -9,6 +9,7 @@ must reproduce exactly, and Schreier-Sims over the found automorphisms,
 whose group the chain read off the search's first path must equal.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -145,7 +146,20 @@ class _RefineAllSearch(_Search):
         if lab_a != lab_b:
             self.group.add(_labelling_map(lab_a, lab_b, self.edges, self.edge_set))
 
-    def _node(self, masks, path, prefix):
+    def _leaf_cert(self, masks):
+        lab = tuple(m.bit_length() - 1 for m in masks)
+        pos = [0] * self.n
+        for p, v in enumerate(lab):
+            pos[v] = p
+        return graph6_encode(build(self.n, [(pos[u], pos[v]) for u, v in self.edges])), lab
+
+    def _prefix_beats(self, path, ref) -> bool:
+        """True when ref (a stored full path) is still reachable from path."""
+        return ref is None or path <= ref[0][: len(path)]
+
+    def _node(self, masks, path, prefix, _fixing=None):
+        # `_Search.__init__` hands the root a list of fixing automorphisms;
+        # this loop keeps its own group instead and ignores it.
         cells = [_cell(m) for m in masks]
         ok_best = self._prefix_beats(path, self.best)
         ok_first = self.first is not None and path == self.first[0][: len(path)]
@@ -204,6 +218,21 @@ def _refine_all_form(g):
         pos[v] = p
     cert = graph6_encode(build(g.n, [(pos[u], pos[v]) for u, v in g.edges]))
     return cert, lab, search.group.order
+
+
+# sha256 of the forms in `TestSearchOrder.test_forms_are_pinned`.
+PINNED_FORMS = "11ea823f9698edff1d5bc7825a2a25f5b5e0474c20007f028bb30699798a59d9"
+
+
+def _iso_pool() -> dict:
+    return json.loads((Path(__file__).resolve().parents[1] / "bench" / "data"
+                       / "iso_pool.json").read_text())
+
+
+def _census_copy(cls):
+    """A fresh copy of a census class's representative, searched anew."""
+    g = bridge_graph(cls.representative)
+    return build(g.n, g.edges)
 
 
 def _brute_force_certificate(g) -> bytes:
@@ -411,6 +440,51 @@ class TestSearchOrder:
         graphs += [_random_graph(rng, rng.randint(1, 11)) for _ in range(200)]
         for g in graphs:
             cf = canonical_form(g)
+            assert (cf.certificate, cf.order, cf.group.order) == _refine_all_form(g), g
+
+    def test_forms_are_pinned(self):
+        """Certificate, labelling, found automorphisms and base, hashed over
+        the `iso` pool's 18 named graphs, each as given and under two
+        relabellings, and the 17 census representatives: a search that
+        visits other nodes, prunes otherwise or finds other automorphisms,
+        or finds them in another order, changes the digest."""
+        rng = random.Random(3401)
+        graphs = []
+        for item in _iso_pool()["named"]:
+            g = graph6_decode(item["g6"])
+            graphs += [g, _shuffle(g, rng), _shuffle(g, rng)]
+        graphs += [_census_copy(c) for c in bridge_census()]
+        assert len(graphs) == 3 * 18 + 17
+        digest = hashlib.sha256()
+        for g in graphs:
+            cf = canonical_form(g)
+            digest.update(repr((cf.certificate, cf.order, cf.automorphisms, cf.base)).encode())
+        assert digest.hexdigest() == PINNED_FORMS
+
+    def test_first_path_leaves_that_are_not_images_are_encoded(self, monkeypatch):
+        """A leaf on the first leaf's path whose map from the first leaf
+        breaks an edge is no automorphism and falls through to its graph6
+        key. The census searches meet such leaves, and the forms of the
+        graphs that do equal the earlier search's."""
+        node, met = _Search._node, []
+
+        def counted(self, cells, path, prefix, fixing):
+            if len(cells) == self.n and self.first is not None and path == self.first[0]:
+                phi = dict(zip(self.first[2], (c.bit_length() - 1 for c in cells)))
+                met.append(any(tuple(sorted((phi[u], phi[v]))) not in self.edge_set
+                               for u, v in self.edges))
+            return node(self, cells, path, prefix, fixing)
+
+        graphs = [_census_copy(c) for c in bridge_census()]
+        monkeypatch.setattr(_Search, "_node", counted)
+        fell_back = []
+        for g in graphs:
+            before = met.count(True)
+            cf = canonical_form(g)
+            if met.count(True) > before:
+                fell_back.append((g, cf))
+        assert fell_back and met.count(False) > met.count(True)
+        for g, cf in fell_back:
             assert (cf.certificate, cf.order, cf.group.order) == _refine_all_form(g), g
 
     def test_orbit_pruning_uses_only_automorphisms_fixing_the_prefix(self):
@@ -667,12 +741,8 @@ class TestSearchChain:
         """With Schreier-Sims disabled, |Aut| and membership still work on
         the `iso` benchmark's named graphs and the 17 census representatives,
         all fresh copies: a member is exactly an automorphism."""
-        pool = json.loads((Path(__file__).resolve().parents[1] / "bench" / "data"
-                           / "iso_pool.json").read_text())
-        cases = [(graph6_decode(item["g6"]), item["aut_order"]) for item in pool["named"]]
-        for c in bridge_census():
-            g = bridge_graph(c.representative)
-            cases.append((build(g.n, g.edges), c.aut_order))
+        cases = [(graph6_decode(item["g6"]), item["aut_order"]) for item in _iso_pool()["named"]]
+        cases += [(_census_copy(c), c.aut_order) for c in bridge_census()]
 
         def no_sifting(self, i, g):
             raise AssertionError("a search group sifted a Schreier generator")

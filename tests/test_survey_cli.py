@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from levibridge import canon, survey
+from levibridge import canon, groups, survey
 from levibridge.canon import canonical_form
 from levibridge.construction import bridge_census, bridge_graph, goedgebeur_graph
 from levibridge.groups import (
@@ -138,6 +138,21 @@ class TestAutStructure:
         searched.clear()
         aut_structure(relabeled)
         assert searched == []
+
+    def test_two_reports_on_one_graph_close_its_group_once(self, monkeypatch):
+        """Aut(g)'s 144 elements are kept in g's cache, so a second report on
+        the same graph object closes no group of that order again."""
+        g = _relabelled_goedgebeur()
+        closure, orders = groups.closure, []
+
+        def counted(generators, degree):
+            out = closure(generators, degree)
+            orders.append(len(out))
+            return out
+
+        monkeypatch.setattr(groups, "closure", counted)
+        assert aut_structure(g)["all_ok"] and aut_structure(g)["all_ok"]
+        assert orders.count(144) == 1
 
     def test_rejects_foreign_graph(self):
         with pytest.raises(StructureError):
