@@ -60,7 +60,7 @@ class CanonicalForm(_Record):
     def group(self) -> PermGroup:
         """The group the found automorphisms generate; a new stabilizer
         chain along `base` is built on each read, so every caller owns the
-        group it gets, and elements close lazily."""
+        group it gets, and its elements are listed off that chain."""
         return PermGroup.from_base(len(self.order), self.base, self.automorphisms)
 
 

@@ -17,7 +17,7 @@ import functools
 import itertools
 from collections import namedtuple
 
-from .canon import automorphism_group, canonical_form
+from .canon import canonical_form
 from .graphs import (
     Graph,
     _mask,
@@ -258,7 +258,7 @@ class CensusClass(namedtuple("CensusClass", "certificate aut_order specs")):
 
 @functools.cache
 def _spec_action():
-    """W, and the bridge slots each element of W sends the slots to.
+    """The hub search's form, whose group is W, and where each w sends the slots.
 
     The residues of the identity join keep their edges; one hub joins the
     alpha side (first open lines, second open points), another the beta side
@@ -285,14 +285,15 @@ def _spec_action():
     h = build(g.n + 2, [e for e in g.edges if frozenset(e) not in slot]
               + [(hub_a, v) for v in fl + mp] + [(hub_b, v) for v in fp + ml])
     cells = [[v for v in range(g.n) if g.labels[v][0] == side] for side in "fm"]
-    w = automorphism_group(h, cells + [[hub_a, hub_b]])
-    return w, {p: tuple(slot[frozenset(p[u] for u in edge[key])] for key in sorted(edge))
-               for p in w.elements}
+    cf = canonical_form(h, cells + [[hub_a, hub_b]])
+    return cf, {p: tuple(slot[frozenset(p[u] for u in edge[key])] for key in sorted(edge))
+                for p in cf.group.elements}
 
 
 def spec_symmetries() -> PermGroup:
-    """The group W of order 128 acting on the 576 specs (see act_on_spec)."""
-    return _spec_action()[0]
+    """The group W of order 128 acting on the 576 specs (see act_on_spec),
+    a new stabilizer chain on each call, so each caller owns the one it gets."""
+    return _spec_action()[0].group
 
 
 def act_on_spec(w: Perm, spec: BridgeSpec) -> BridgeSpec:

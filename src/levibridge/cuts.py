@@ -110,11 +110,10 @@ def _forest(g: Graph, side_s: frozenset[int]) -> dict[int, tuple[int, int]]:
 
 
 def _min_cut_between(g: Graph, side_s: frozenset[int], side_t: frozenset[int],
-                     stop_at: int | None, tree: dict[int, tuple[int, int]] | None = None
+                     stop_at: int | None, tree: dict[int, tuple[int, int]]
                      ) -> tuple[int, frozenset[int] | None]:
     """Minimum edge cut between two disjoint vertex sets, by augmenting paths
-    from a flow read off `side_s`'s breadth-first forest (`_forest`, built
-    here when `tree` is None).
+    from a flow read off `tree`, `side_s`'s breadth-first forest (`_forest`).
 
     Unit flows run on g as if each set were contracted. The start puts one
     unit on the tree path to one vertex of `side_t` in each branch that
@@ -132,8 +131,6 @@ def _min_cut_between(g: Graph, side_s: frozenset[int], side_t: frozenset[int],
     source side of a minimum cut that lies inside every other one.
     """
     nbrs, n = _neighbor_tuples(g), g.n
-    if tree is None:
-        tree = _forest(g, side_s)
     start = {tree[v][1]: v for v in side_t if v in tree}  # branch -> a target vertex in it
     if stop_at is not None and len(start) >= stop_at:
         return stop_at, None

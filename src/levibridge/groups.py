@@ -3,9 +3,9 @@
 A permutation of degree n is a tuple p of length n with p[i] = image of i.
 A group is its stabilizer chain (Schreier-Sims), which answers order,
 membership, subgroup and normality questions; a group given as an element
-set is the group those elements generate. `closure` only lists elements,
-for the structure tests that need them at orders in the hundreds; it and
-the canonical search's orbit pruning close through `_orbit`.
+set is the group those elements generate, and elements are listed off the
+chain. `closure`, the breadth-first product closure, is the tests' reference
+listing; it and the canonical search's orbit pruning close through `_orbit`.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class PermGroup:
       strong generating set already known, by orbits alone; a canonical
       search's group is built so, and its `generators` are every
       automorphism the search found, redundant ones included.
-    `add` extends either chain by Schreier-Sims; `elements` closes lazily.
+    `add` extends either chain by Schreier-Sims; `elements` lists the group off it.
     """
 
     def __init__(self, degree: int, generators=()):
@@ -171,8 +171,15 @@ class PermGroup:
 
     @property
     def elements(self) -> frozenset[Perm]:
+        """The products u_0 u_1 ... u_k, u_i in level i's transversal, built
+        deepest level first: each g sifts to exactly one, as a transversal
+        meets each coset of the next level's group once, so they are the
+        group's `order` elements."""
         if self._elements is None:
-            self._elements = closure(self.generators, self.degree)
+            elements = [identity(self.degree)]
+            for _, _, trans in reversed(self._levels):
+                elements = [compose(u, p) for u in trans.values() for p in elements]
+            self._elements = frozenset(elements)
         return self._elements
 
     def __repr__(self):

@@ -17,8 +17,8 @@ from .construction import (
 )
 from .cuts import (CYCLIC_MAX_VERTICES, cyclic_edge_connectivity,
                    is_essentially_4_edge_connected)
-from .graphs import (Graph, _cached, adjacency_masks, bipartition, components, girth,
-                     heawood, is_cubic, k33, pappus)
+from .graphs import (Graph, adjacency_masks, bipartition, components, girth, heawood,
+                     is_cubic, k33, pappus)
 from .groups import (
     PermGroup,
     compose,
@@ -92,11 +92,6 @@ def _marked_edges_on(g: Graph) -> tuple[list[tuple[int, int]], PermGroup]:
     return moved, automorphism_group(g)
 
 
-def _aut_elements(g: Graph) -> frozenset:
-    """Aut(g)'s elements, closed once per graph and kept in its cache."""
-    return automorphism_group(g).elements
-
-
 def aut_structure(g: Graph | None = None) -> dict:
     """Full analysis of the automorphism group acting on the nine
     distinguished edges; raises StructureError when any pinned structural
@@ -105,7 +100,7 @@ def aut_structure(g: Graph | None = None) -> dict:
     if g is None:
         g = goedgebeur_graph()
     marked, aut = _marked_edges_on(g)
-    elements = _cached(g, _aut_elements)
+    elements = aut.elements
 
     # How each element permutes the nine marked edges; edge_action raises
     # GroupError on an element that moves a marked edge off the set.

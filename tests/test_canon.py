@@ -16,6 +16,7 @@ import random
 from pathlib import Path
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,7 @@ from levibridge.construction import (
     goedgebeur_graph,
 )
 from levibridge.graphs import (
+    GraphError,
     adjacency_masks,
     build,
     gp,
@@ -48,7 +50,7 @@ from levibridge.graphs import (
     petersen,
     prism,
 )
-from levibridge.groups import PermGroup, compose
+from levibridge.groups import PermGroup, closure, compose
 
 
 def _random_graph(rng: random.Random, n: int):
@@ -605,6 +607,8 @@ class TestAutomorphisms:
         assert full.order == 8
         assert pinned.order == 2
         assert all(p[0] == 0 for p in pinned.elements)
+        with pytest.raises(GraphError, match="cells must partition"):
+            canonical_form(build(3, [(0, 1)]), [[0], [1]])
 
 
 def _sifted_group(cf):
@@ -630,10 +634,15 @@ def _random_perm(n, rng: random.Random):
 def _assert_chain_is_sifted_group(cf, rng: random.Random):
     """The search's chain and Schreier-Sims's agree on order, on every
     element when there are at most 5,000, and on 10 random permutations
-    and 10 random members; the chain's base points are `cf.base`'s, in order."""
+    and 10 random members; the chain's base points are `cf.base`'s, in order.
+    Up to that order, each chain's listed elements are its order many and
+    are its generators' closure."""
     group, sifted = cf.group, _sifted_group(cf)
     assert group.order == sifted.order
     if sifted.order <= 5000:
+        for chain in (group, sifted):
+            assert len(chain.elements) == chain.order
+            assert chain.elements == closure(chain.generators, chain.degree)
         assert all(p in group for p in sifted.elements)
     for p in [_random_perm(group.degree, rng) for _ in range(10)] \
             + [_random_word(group, rng) for _ in range(10)]:
@@ -680,12 +689,13 @@ class TestSearchChain:
 
         def recorded(g, cells=None):
             searched.append((g, cells))
-            return automorphism_group(g, cells)
+            return canonical_form(g, cells)
 
-        monkeypatch.setattr(construction, "automorphism_group", recorded)
-        w, _ = construction._spec_action.__wrapped__()
+        monkeypatch.setattr(construction, "canonical_form", recorded)
+        cf, _ = construction._spec_action.__wrapped__()
         (h, cells), = searched
-        cf = canonical_form(h, cells)
+        assert cf is canonical_form(h, cells)
+        w = cf.group
         assert w.generators == list(cf.automorphisms) and w.order == 128
         _assert_chain_is_sifted_group(cf, random.Random(3232))
 

@@ -140,6 +140,9 @@ class TestResidues:
                 open_points=(0, 2, 4, 5),
                 open_lines=(0, 2, 4, 6),
             )
+        f = f_residue()
+        with pytest.raises(ValueError, match="open lines must be the lines losing"):
+            Residue(f.base, f.removed, f.open_points, (0, 1, 2, 3))
 
     def test_validation_rejects_repeated_point(self):
         with pytest.raises(ValueError):
@@ -418,6 +421,15 @@ class TestSpecSymmetries:
             seen |= orbit
             sizes.append(len(orbit))
         assert sorted(sizes) == [8, 8] + [16] * 7 + [32] * 4 + [64] * 3 + [128]
+
+    def test_each_caller_owns_its_group(self):
+        """Growing one caller's W leaves the next caller's W, and the
+        census built from it, as they were."""
+        swap = (1, 0) + tuple(range(2, 32))
+        assert spec_symmetries().add(swap)
+        w = spec_symmetries()
+        assert w.order == 128 and swap not in w
+        assert len(bridge_census.__wrapped__()) == 17
 
     def test_generators_are_isomorphisms_between_joins(self):
         edges = {

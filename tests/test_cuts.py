@@ -82,7 +82,7 @@ def _all_pairs_cyclic_connectivity(g):
     pairs.sort(key=lambda p: p[2])
     best: int | None = None
     for side_s, side_t, _ in pairs:
-        value, _ = _min_cut_between(g, side_s, side_t, best)
+        value, _ = _min_cut_between(g, side_s, side_t, best, _forest(g, side_s))
         if best is None or value < best:
             best = value
     return best
@@ -123,8 +123,9 @@ def _distance_blind_chordless_cycles(g, cap: int) -> list[tuple[int, ...]]:
 
 
 def _packing_only_search(g, cycles, targets, best):
-    """The earlier `cuts._packed_search`, kept verbatim as the oracle for its
-    double-counting stop: it stops once 2p reaches `best`, and on nothing else."""
+    """The earlier `cuts._packed_search`, kept verbatim but for the forest it
+    hands each flow, as the oracle for its double-counting stop: it stops
+    once 2p reaches `best`, and on nothing else."""
     vertices = [frozenset(c) for c in cycles]
     edges = [_cycle_edges(c) for c in cycles]
     unprocessed = list(range(len(cycles)))
@@ -139,7 +140,8 @@ def _packing_only_search(g, cycles, targets, best):
         unprocessed.remove(source)
         for target in targets if targets is not None else [vertices[i] for i in unprocessed]:
             if not vertices[source] & target:
-                value, reach = _min_cut_between(g, vertices[source], target, best)
+                value, reach = _min_cut_between(g, vertices[source], target, best,
+                                                _forest(g, vertices[source]))
                 if best is None or value < best:
                     best, side = value, reach
     return best, side
@@ -217,14 +219,16 @@ def _cut_kind(g, side_a: frozenset[int], side_b: frozenset[int]) -> str:
 
 
 def _pair_loop_essentially_4_edge_connected(g):
-    """The earlier essential check, kept verbatim as an oracle: the flow from
-    each edge {0, x} to every edge disjoint from it, stopped at 4. The
-    certificate is the first cut found, with vertex 0 in `side_a`."""
+    """The earlier essential check, kept verbatim but for the forest it hands
+    each flow, as an oracle: the flow from each edge {0, x} to every edge
+    disjoint from it, stopped at 4. The certificate is the first cut found,
+    with vertex 0 in `side_a`."""
     for x in g.neighbors(0):
         for f in g.edges:
             if 0 in f or x in f:
                 continue
-            _, side_a = _min_cut_between(g, frozenset((0, x)), frozenset(f), 4)
+            side_s = frozenset((0, x))
+            _, side_a = _min_cut_between(g, side_s, frozenset(f), 4, _forest(g, side_s))
             if side_a is not None:
                 side_b = frozenset(range(g.n)) - side_a
                 assert _cut_kind(g, side_a, side_b) == "cyclic"
@@ -463,6 +467,8 @@ class TestCyclicEdgeConnectivity:
             )  # disconnected
         with pytest.raises(GraphError):
             cyclic_edge_connectivity(build(0, []))  # no vertices
+        with pytest.raises(GraphError, match="at most 40 vertices"):
+            cyclic_edge_connectivity(gp(21, 2))  # cubic and connected, but 42 vertices
 
 
 class TestEssentially4EdgeConnected:
@@ -639,10 +645,11 @@ class TestMinCutBetween:
         values = set()
         for g, side_s, side_t in cases:
             value, side = _networkx_min_cut(g, side_s, side_t)
-            assert _min_cut_between(g, side_s, side_t, None) == (value, side)
-            assert _min_cut_between(g, side_s, side_t, value + 1) == (value, side)
+            tree = _forest(g, side_s)
+            assert _min_cut_between(g, side_s, side_t, None, tree) == (value, side)
+            assert _min_cut_between(g, side_s, side_t, value + 1, tree) == (value, side)
             for stop_at in range(value + 1):
-                assert _min_cut_between(g, side_s, side_t, stop_at) == (stop_at, None)
+                assert _min_cut_between(g, side_s, side_t, stop_at, tree) == (stop_at, None)
             values.add(value)
         # Cuts of every size a cubic graph's small sets allow, bridges included.
         assert {1, 2, 3, 4, 5, 6} <= values

@@ -255,6 +255,8 @@ class TestBuild:
             build(3, [(0, 0)])
         with pytest.raises(GraphError):
             build(3, [(0, 3)])
+        with pytest.raises(GraphError, match="negative vertex count -1"):
+            build(-1, [])
 
     def test_deduplicates_and_sorts(self):
         g = build(3, [(2, 1), (1, 2), (0, 1)])
@@ -390,7 +392,11 @@ class TestGenerators:
         with pytest.raises(GraphError):
             lcf([1, 1, 1, 1], 1)  # jump 1 collides with rim edges
         with pytest.raises(GraphError):
-            lcf([5, -5], 3)  # odd vertex count
+            lcf([5, -5], 3)  # jump 5 out of range for n = 6
+        with pytest.raises(GraphError, match="positive even vertex count, got 3"):
+            lcf([4], 3)  # odd vertex count, checked before the jump range
+        with pytest.raises(GraphError, match="chords collide"):
+            lcf([2, 3], 3)  # jumps in range whose chords double up
 
     @pytest.mark.parametrize("text", ["[5,,-5]^7", "[5 5]^7", "[+]^3", "[-]^2", "[5,-5,]^7"])
     def test_parse_lcf_rejects_malformed_jump_lists(self, text):

@@ -106,6 +106,8 @@ class TestClosureAndGroups:
         assert z3z3().order == 9
         assert d4xz2().order == 16
         assert direct_product(cyclic(3), cyclic(3)).order == 9
+        with pytest.raises(GroupError, match="needs n >= 3"):
+            dihedral(2)
 
     def test_named_groups_match_sympy_structure(self):
         assert _sympy_group(z3z3()).is_abelian
@@ -159,6 +161,7 @@ class TestStabChain:
         degree, gens = case
         group, elements = PermGroup(degree, gens), closure(gens, degree)
         assert group.order == len(elements) == _sympy_order(degree, gens)
+        assert group.elements == elements
         rng = random.Random(repr(case))
         for p in (tuple(rng.sample(range(degree), degree)) for _ in range(5)):
             assert (p in group) == (p in elements)
@@ -198,6 +201,8 @@ class TestStabChain:
             PermGroup(3).add((0, 0, 1))
         with pytest.raises(GroupError):
             PermGroup(3, [(0, 1)])
+        with pytest.raises(GroupError, match="not a permutation of degree 2"):
+            closure([(0, 0)], 2)
 
 
 @st.composite
@@ -302,6 +307,11 @@ class TestGroupIsomorphism:
         assert not groups_isomorphic(
             direct_product(cyclic(4), cyclic(2)), dihedral(4)
         )
+
+    def test_guards_at_order_200(self):
+        sym6 = [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]  # a 6-cycle and a swap
+        with pytest.raises(GroupError, match="guards at order 200"):
+            groups_isomorphic(PermGroup(6, sym6), PermGroup(6, sym6))
 
 
 class TestActions:
