@@ -58,9 +58,8 @@ class CanonicalForm(_Record):
 
     @property
     def group(self) -> PermGroup:
-        """The group the found automorphisms generate; a new stabilizer
-        chain along `base` is built on each read, so every caller owns the
-        group it gets, and its elements are listed off that chain."""
+        """The group the found automorphisms generate, as a stabilizer chain
+        along `base`, built on each read."""
         return PermGroup.from_base(len(self.order), self.base, self.automorphisms)
 
 

@@ -94,8 +94,9 @@ class BridgeSpec(_Record):
         return "".join(map(str, self.alpha)) + " " + "".join(map(str, self.beta))
 
 
+@functools.cache
 def all_bridge_specs() -> tuple[BridgeSpec, ...]:
-    """All 576 joins, in rank order."""
+    """All 576 joins, in rank order, so a spec's rank is its index."""
     return tuple(BridgeSpec(a, b) for a in PERMS4 for b in PERMS4)
 
 
@@ -267,7 +268,7 @@ def _spec_action():
     point-line duality of both residues at once. Slot (0, i, x) is the edge
     that sets alpha[i] = x and (1, i, x) the one that sets beta[i] = x; the
     table maps each w in W to the slot (k, i, y) that w sends each slot to,
-    indexed 16k + 4i + x.
+    indexed 16k + 4i + x, so its keys are W's 128 elements.
     """
     g = bridge_graph(BridgeSpec((0, 1, 2, 3), (0, 1, 2, 3)))
     f, mk = f_residue(), mk_residue()
@@ -292,7 +293,7 @@ def _spec_action():
 
 def spec_symmetries() -> PermGroup:
     """The group W of order 128 acting on the 576 specs (see act_on_spec),
-    a new stabilizer chain on each call, so each caller owns the one it gets."""
+    as the hub search's stabilizer chain."""
     return _spec_action()[0].group
 
 
@@ -307,29 +308,29 @@ def act_on_spec(w: Perm, spec: BridgeSpec) -> BridgeSpec:
     for j, x in enumerate(spec.alpha + spec.beta):  # j = 4k + i
         k, i, y = images[4 * j + x]
         image[k][i] = y
-    return BridgeSpec(tuple(image[0]), tuple(image[1]))
+    return all_bridge_specs()[24 * _PERM4_RANK[tuple(image[0])] + _PERM4_RANK[tuple(image[1])]]
 
 
 @functools.cache
 def bridge_census() -> tuple[CensusClass, ...]:
     """All 576 joins grouped by isomorphism class.
 
-    W (spec_symmetries) splits the specs into orbits of isomorphic joins,
-    so one canonical search per orbit suffices; orbits with equal
-    certificates merge into one class. Raises StructureError unless the
-    orbits partition the specs, obey orbit-stabilizer, and each stabilizer
-    order divides its class's automorphism order. Classes are ordered by
+    W, the keys of `_spec_action`'s table, splits the specs into orbits of
+    isomorphic joins, so one canonical search per orbit suffices; orbits
+    with equal certificates merge into one class. Raises StructureError
+    unless the orbits partition the specs, obey orbit-stabilizer, and each
+    stabilizer order divides its class's automorphism order. Classes are ordered by
     descending automorphism-group order, then ascending class size, then
     certificate bytes; specs inside a class stay in rank order.
     """
-    w = spec_symmetries()
+    w = _spec_action()[1]
     seen: set[BridgeSpec] = set()
     aut_orders: dict[bytes, int] = {}
     groups: dict[bytes, list[BridgeSpec]] = {}
     for spec in all_bridge_specs():
         if spec in seen:
             continue
-        images = [act_on_spec(x, spec) for x in w.elements]
+        images = [act_on_spec(x, spec) for x in w]
         orbit, stab = set(images), images.count(spec)
         # every spec is a representative or in an earlier orbit, and a
         # representative lies in its own orbit (stab >= 1 below), so disjoint
@@ -337,10 +338,10 @@ def bridge_census() -> tuple[CensusClass, ...]:
         if orbit & seen:
             raise StructureError(f"the W-orbit of {spec} meets an earlier orbit")
         seen |= orbit
-        if len(orbit) * stab != w.order:
+        if len(orbit) * stab != len(w):
             raise StructureError(
                 f"W-orbit of {spec}: {len(orbit)} specs x stabilizer {stab} "
-                f"!= |W| = {w.order}"
+                f"!= |W| = {len(w)}"
             )
         cf = canonical_form(bridge_graph(spec))
         aut = cf.group.order

@@ -1,11 +1,12 @@
 """Small permutation groups as tuples, with closure, structure and isomorphism tests.
 
 A permutation of degree n is a tuple p of length n with p[i] = image of i.
-A group is its stabilizer chain (Schreier-Sims), which answers order,
-membership, subgroup and normality questions; a group given as an element
-set is the group those elements generate, and elements are listed off the
-chain. `closure`, the breadth-first product closure, is the tests' reference
-listing; it and the canonical search's orbit pruning close through `_orbit`.
+A group is its stabilizer chain, read off a base and a strong generating
+set (a canonical search's, or a group's whole element set); it answers
+order, membership, subgroup and normality questions and lists the elements.
+`closure`, the breadth-first product closure, sizes the subgroups that
+`groups_isomorphic` tries and is the tests' reference listing; it and the
+canonical search's orbit pruning close through `_orbit`.
 """
 
 from __future__ import annotations
@@ -96,25 +97,17 @@ class PermGroup:
     Level i holds a base point b_i, the generators of the pointwise
     stabilizer of b_0..b_{i-1}, and for each point x of their orbit
     through b_i one element u with u(b_i) = x; the order is the product of
-    the orbit lengths. The chain is built one of two ways (Seress,
-    Permutation Group Algorithms, 2003, ch. 4):
-    - `PermGroup(degree, elements)`, the group the elements generate, by
-      deterministic incremental Schreier-Sims; `generators` lists the
-      added elements that enlarged the group;
-    - `PermGroup.from_base(degree, base, generators)`, for a base and a
-      strong generating set already known, by orbits alone; a canonical
-      search's group is built so, and its `generators` are every
-      automorphism the search found, redundant ones included.
-    `add` extends either chain by Schreier-Sims; `elements` lists the group off it.
+    the orbit lengths. `PermGroup(degree)` is the trivial group; a chain is
+    read off a base and a strong generating set by orbits alone
+    (`from_base`): a canonical search's, whose `generators` are every
+    automorphism it found, or a group's whole element set (`from_elements`).
+    Nothing changes a chain once it is built.
     """
 
-    def __init__(self, degree: int, generators=()):
+    def __init__(self, degree: int):
         self.degree = degree
         self.generators: list[Perm] = []
         self._levels: list[tuple[int, list[Perm], dict[int, Perm]]] = []
-        self._elements: frozenset[Perm] | None = None
-        for g in generators:
-            self.add(g)
 
     @classmethod
     def from_base(cls, degree: int, base, generators) -> PermGroup:
@@ -160,83 +153,55 @@ class PermGroup:
                         trans[y] = compose(s, trans[x])
                         queue.append(y)
             if len(queue) > 1:
-                # A copy: `add` appends to `generators` and to level 0's list.
-                group._levels.append((b, list(fixing), trans))
+                group._levels.append((b, fixing, trans))
             fixing = [s for s in fixing if s[b] == b]
         return group
+
+    @classmethod
+    def from_elements(cls, degree: int, elements) -> PermGroup:
+        """The chain of a group given as its whole element set, which the
+        caller has checked is closed under products: `from_base` along the
+        points 0..degree-1 with every element as a strong generator, as the
+        elements fixing b_0..b_d-1 are that stabilizer itself; a point that
+        no element fixing the earlier ones moves gets no level."""
+        return cls.from_base(degree, range(degree), elements)
 
     @property
     def order(self) -> int:
         return math.prod(len(trans) for _, _, trans in self._levels)
 
-    @property
+    @functools.cached_property
     def elements(self) -> frozenset[Perm]:
         """The products u_0 u_1 ... u_k, u_i in level i's transversal, built
         deepest level first: each g sifts to exactly one, as a transversal
         meets each coset of the next level's group once, so they are the
         group's `order` elements."""
-        if self._elements is None:
-            elements = [identity(self.degree)]
-            for _, _, trans in reversed(self._levels):
-                elements = [compose(u, p) for u in trans.values() for p in elements]
-            self._elements = frozenset(elements)
-        return self._elements
+        elements = [identity(self.degree)]
+        for _, _, trans in reversed(self._levels):
+            elements = [compose(u, p) for u in trans.values() for p in elements]
+        return frozenset(elements)
+
+    @functools.cached_property
+    def orders(self) -> dict[Perm, int]:
+        """Each element's order."""
+        return {p: perm_order(p) for p in self.elements}
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
     def __contains__(self, p: Perm) -> bool:
-        a, b = self._sift(identity(self.degree), p, 0)
-        return a == b
-
-    def _sift(self, a: Perm, b: Perm, level: int) -> tuple[Perm, Perm]:
-        """Strip p = a^-1 b through the levels from `level` on, kept as that
-        quotient so that no inverse is taken: at base point c, p(c) is
-        a.index(b[c]), and stripping by u turns p into (a u)^-1 b. The
-        residue a^-1 b is the identity, so p lies in that level's group,
-        exactly when the returned a equals the returned b."""
-        for c, _, trans in self._levels[level:]:
-            u = trans.get(a.index(b[c]))
+        """Sift p down the levels. With a = u_0 ... u_i-1 the transversal
+        elements stripped so far, the residue a^-1 p is kept as that
+        quotient, so no inverse is taken: it sends base point c to
+        a.index(p[c]). p lies in the group exactly when every level has
+        that point in its orbit and the last residue is the identity, a = p."""
+        a = identity(self.degree)
+        for c, _, trans in self._levels:
+            u = trans.get(a.index(p[c]))
             if u is None:
-                break
+                return False
             a = compose(a, u)
-        return a, b
-
-    def add(self, g: Perm) -> bool:
-        """Extend the group by g; False, changing nothing, if g is in it."""
-        g = tuple(g)
-        if sorted(g) != list(range(self.degree)):
-            raise GroupError(f"not a permutation of degree {self.degree}: {g}")
-        if g in self:
-            return False
-        self.generators.append(g)
-        self._elements = None
-        self._extend(0, g)
-        return True
-
-    def _extend(self, i: int, g: Perm) -> None:
-        """Add g, which fixes b_0..b_{i-1}, to the generators of level i.
-
-        Every Schreier generator trans[y]^-1 s trans[x] of level i must lie
-        in level i + 1's group; one that does not is added there in turn.
-        Earlier ones lie in that group already (it only grows), so only the
-        pairs with g or with a new orbit point are sifted, as quotients.
-        """
-        if i == len(self._levels):
-            b = next(x for x in range(self.degree) if g[x] != x)
-            self._levels.append((b, [], {b: identity(self.degree)}))
-        _, gens, trans = self._levels[i]
-        gens.append(g)
-        pairs = [(x, g) for x in trans]
-        for x, s in pairs:  # grows while the orbit does
-            y = s[x]
-            if y not in trans:
-                trans[y] = compose(s, trans[x])
-                pairs.extend((y, t) for t in gens)
-                continue  # its Schreier generator is the identity
-            a, b = self._sift(trans[y], compose(s, trans[x]), i + 1)
-            if a != b:
-                self._extend(i + 1, compose(inverse(a), b))
+        return a == p
 
 
 def is_subgroup(sub: PermGroup, group: PermGroup) -> bool:
@@ -259,7 +224,7 @@ def is_normal(sub: PermGroup, group: PermGroup) -> bool:
 
 def order_profile(group: PermGroup) -> dict[int, int]:
     """How many elements have each order, highest order first."""
-    return dict(sorted(Counter(perm_order(p) for p in group.elements).items(), reverse=True))
+    return dict(sorted(Counter(group.orders.values()).items(), reverse=True))
 
 
 def is_abelian(group: PermGroup) -> bool:
@@ -291,13 +256,15 @@ def _generating_sequence(group: PermGroup) -> tuple[list[Perm], list[int]]:
     """Greedy short generating sequence, deterministic for a given group:
     elements by descending order, each kept if it enlarges the group so far.
     Also returns the order of the group each prefix of the sequence generates."""
-    seq, sizes = PermGroup(group.degree), []
-    for x in sorted(group.elements, key=lambda p: (-perm_order(p), p)):
-        if seq.add(x):
-            sizes.append(seq.order)
-            if seq.order == group.order:
+    seq, sizes, span = [], [], {identity(group.degree)}
+    for x in sorted(group.elements, key=lambda p: (-group.orders[p], p)):
+        if x not in span:
+            seq.append(x)
+            span = closure(seq, group.degree)
+            sizes.append(len(span))
+            if len(span) == group.order:
                 break
-    return seq.generators, sizes
+    return seq, sizes
 
 
 def groups_isomorphic(a: PermGroup, b: PermGroup) -> bool:
@@ -307,6 +274,8 @@ def groups_isomorphic(a: PermGroup, b: PermGroup) -> bool:
     of the g_j beside the h_j (shifted onto points a.degree...) have one
     order. The pair group maps onto both, so the orders agree exactly when
     it is the graph of a bijective homomorphism sending each g_j to h_j.
+    Each is sized by its closure: under the guard, at most 200 elements,
+    and a pair group at most 40,000.
     """
     if a.order > 200 or b.order > 200:
         raise GroupError("groups_isomorphic guards at order 200")
@@ -317,16 +286,16 @@ def groups_isomorphic(a: PermGroup, b: PermGroup) -> bool:
     gens, sizes = _generating_sequence(a)
     by_order: dict[int, list[Perm]] = {}
     for p in sorted(b.elements):
-        by_order.setdefault(perm_order(p), []).append(p)
+        by_order.setdefault(b.orders[p], []).append(p)
 
     def assign(i: int, imgs: list[Perm]) -> bool:
         if i == len(gens):
             return True
-        for cand in by_order.get(perm_order(gens[i]), []):
+        for cand in by_order.get(a.orders[gens[i]], []):
             trial = imgs + [cand]
             pairs = [g + tuple(x + a.degree for x in h) for g, h in zip(gens, trial)]
-            if (PermGroup(b.degree, trial).order == sizes[i]
-                    == PermGroup(a.degree + b.degree, pairs).order and assign(i + 1, trial)):
+            if (len(closure(trial, b.degree)) == sizes[i]
+                    == len(closure(pairs, a.degree + b.degree)) and assign(i + 1, trial)):
                 return True
         return False
 
@@ -355,36 +324,3 @@ def semidirect_certificate(group: PermGroup, k: PermGroup,
     )
     return ok, report
 
-
-# -- model groups ------------------------------------------------------------
-
-
-def cyclic(n: int) -> PermGroup:
-    return PermGroup(n, [tuple((i + 1) % n for i in range(n))])
-
-
-def dihedral(n: int) -> PermGroup:
-    """Symmetries of an n-gon on vertices 0..n-1, order 2n."""
-    if n < 3:
-        raise GroupError("dihedral(n) needs n >= 3")
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((n - i) % n for i in range(n))
-    return PermGroup(n, [rot, ref])
-
-
-def direct_product(a: PermGroup, b: PermGroup) -> PermGroup:
-    """Product acting on the disjoint union of the two domains."""
-    da, db = a.degree, b.degree
-    gens = [g + tuple(range(da, da + db)) for g in a.generators]
-    gens += [identity(da) + tuple(x + da for x in g) for g in b.generators]
-    return PermGroup(da + db, gens)
-
-
-@functools.cache
-def z3z3() -> PermGroup:
-    return direct_product(cyclic(3), cyclic(3))
-
-
-@functools.cache
-def d4xz2() -> PermGroup:
-    return direct_product(dihedral(4), cyclic(2))

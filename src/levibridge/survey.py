@@ -4,6 +4,7 @@ and the parity refutation report.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .canon import automorphism_group, isomorphism
@@ -24,15 +25,12 @@ from .groups import (
     compose,
     cycle_type,
     cycles,
-    d4xz2,
     edge_action,
-    groups_isomorphic,
+    identity,
     inverse,
     is_abelian,
     order_profile,
-    perm_order,
     semidirect_certificate,
-    z3z3,
 )
 from .twofactors import MIXED, NO_TWO_FACTOR, pseudo_2fi
 
@@ -92,6 +90,43 @@ def _marked_edges_on(g: Graph) -> tuple[list[tuple[int, int]], PermGroup]:
     return moved, automorphism_group(g)
 
 
+def _subgroup(degree: int, elements, name: str) -> PermGroup:
+    """The group whose element set is `elements`, once its product table
+    checks that the set is closed; raises StructureError naming the first
+    product outside it."""
+    members = set(elements)
+    for a, b in itertools.product(sorted(members), repeat=2):
+        if (ab := compose(a, b)) not in members:
+            raise StructureError(f"{name} is not closed: {a} * {b} = {ab} lies outside it")
+    return PermGroup.from_elements(degree, members)
+
+
+def _is_z3xz3(group: PermGroup) -> bool:
+    """Order 9 and exponent 3: a group of order p^2 is abelian, so it is
+    Z3 x Z3, and Z9 has elements of order 9."""
+    return group.order == 9 and set(group.orders.values()) <= {1, 3}
+
+
+def _is_d4xz2(group: PermGroup) -> bool:
+    """Order 16, an element a of order 4, an involution b outside <a> with
+    ab an involution, and an involution c outside D = <a> u <a>b commuting
+    with a and b. Then <a, b> is a quotient of the dihedral group of order
+    8 holding more than <a>, so it is D, dihedral of order 8; c centralizes
+    D, so D<c> = D x <c> has order 16 and is the group: D4 x Z2."""
+    if group.order != 16:
+        return False
+    orders, e = group.orders, identity(group.degree)
+    involutions = [p for p, k in orders.items() if k == 2]
+    for a in (p for p, k in orders.items() if k == 4):
+        rotations = {e, a, compose(a, a), inverse(a)}
+        for b in (b for b in involutions if b not in rotations and orders[compose(a, b)] == 2):
+            d = rotations | {compose(r, b) for r in rotations}
+            if any(c not in d and compose(a, c) == compose(c, a)
+                   and compose(b, c) == compose(c, b) for c in involutions):
+                return True
+    return False
+
+
 def aut_structure(g: Graph | None = None) -> dict:
     """Full analysis of the automorphism group acting on the nine
     distinguished edges; raises StructureError when any pinned structural
@@ -100,18 +135,21 @@ def aut_structure(g: Graph | None = None) -> dict:
     if g is None:
         g = goedgebeur_graph()
     marked, aut = _marked_edges_on(g)
-    elements = aut.elements
 
     # How each element permutes the nine marked edges; edge_action raises
     # GroupError on an element that moves a marked edge off the set.
-    projections = {p: edge_action(p, tuple(marked)) for p in elements}
+    projections = {p: edge_action(p, tuple(marked)) for p in aut.elements}
 
-    k_elements = frozenset(
-        p for p in elements if perm_order(p) in (1, 3, 9)
-    )
-    K = PermGroup(aut.degree, k_elements)
+    K = _subgroup(aut.degree, (p for p, k in aut.orders.items() if k in (1, 3, 9)), "K")
+    # Rows that miss an edge, or K's rows that miss one, fail those checks
+    # before H is read off the rows. `first` maps each edge to the earliest
+    # row sending e there: the comprehension runs in reverse, so it wins.
+    first = {proj[0]: p for p, proj in reversed(projections.items())}
+    regular = {projections[p][0] for p in K.elements} == set(range(9)) and K.order == 9
+    rows = {"k_regular_on_marked": regular, "stabilizers_conjugate": len(first) == 9}
+    _settle(rows, rows, "rows_ok", "structure analysis")
     stabilizer_orders = [sum(proj[i] == i for proj in projections.values()) for i in range(9)]
-    H = PermGroup(aut.degree, (p for p, proj in projections.items() if proj[0] == 0))  # fixes e
+    H = _subgroup(aut.degree, (p for p, proj in projections.items() if proj[0] == 0), "H")  # fixes e
     sd_ok, sd_report = semidirect_certificate(aut, K, H)
 
     sigma_two_m = sigma_two_f = rho = delta = False
@@ -145,11 +183,9 @@ def aut_structure(g: Graph | None = None) -> dict:
     # pHp^-1 for each of them, so one element per target decides: it does
     # when Stab(pe) has H's order and each p q p^-1, for H's generators q,
     # fixes edge i. p q p^-1 lies in Aut, so it has a row in the table.
-    conjugate = True
-    for i in range(1, 9):
-        p = next((p for p, proj in projections.items() if proj[0] == i), None)
-        conjugate &= p is not None and stabilizer_orders[i] == H.order and all(
-            projections[compose(compose(p, q), inverse(p))][i] == i for q in H.generators)
+    conjugate = all(stabilizer_orders[i] == H.order and all(
+        projections[compose(compose(first[i], q), inverse(first[i]))][i] == i
+        for q in H.generators) for i in range(1, 9))
 
     report = {
         "aut_order": aut.order,
@@ -161,14 +197,12 @@ def aut_structure(g: Graph | None = None) -> dict:
         "k_normal": sd_report["k_normal"],
         "k_profile": order_profile(K),
         "k_abelian": is_abelian(K),
-        "k_iso_z3xz3": groups_isomorphic(K, z3z3()),
-        "k_regular_on_marked": (
-            {projections[p][0] for p in K.elements} == set(range(9)) and K.order == 9
-        ),
+        "k_iso_z3xz3": _is_z3xz3(K),
+        "k_regular_on_marked": regular,
         "h_order": H.order,
         "h_abelian": is_abelian(H),
         "h_profile": order_profile(H),
-        "h_iso_d4xz2": groups_isomorphic(H, d4xz2()),
+        "h_iso_d4xz2": _is_d4xz2(H),
         "semidirect": sd_ok,
         "semidirect_report": sd_report,
         "sigma_two_m": sigma_two_m,

@@ -24,10 +24,6 @@ from levibridge.groups import (
     compose,
     cycle_type,
     cycles,
-    cyclic,
-    d4xz2,
-    dihedral,
-    direct_product,
     edge_action,
     groups_isomorphic,
     identity,
@@ -38,8 +34,9 @@ from levibridge.groups import (
     order_profile,
     perm_order,
     semidirect_certificate,
-    z3z3,
 )
+from schreier_sims import (SiftedGroup, cyclic, d4xz2, dihedral, direct_product, q8, z3z3,
+                           z4_by_z4)
 
 perm_strategy = st.permutations(range(6)).map(tuple)
 
@@ -94,7 +91,7 @@ class TestClosureAndGroups:
             gens = [
                 tuple(rng.sample(range(degree), degree)) for _ in range(2)
             ]
-            mine = PermGroup(degree, gens).order
+            mine = SiftedGroup(degree, gens).order
             theirs = PermutationGroup(
                 [Permutation(list(g), size=degree) for g in gens]
             ).order()
@@ -118,8 +115,8 @@ class TestClosureAndGroups:
 
     def test_subgroup_and_normality_match_sympy(self):
         g = dihedral(4)
-        rotations = PermGroup(4, [(1, 2, 3, 0)])
-        reflection = PermGroup(4, [(3, 2, 1, 0)])
+        rotations = SiftedGroup(4, [(1, 2, 3, 0)])
+        reflection = SiftedGroup(4, [(3, 2, 1, 0)])
         assert is_subgroup(rotations, g)
         assert is_subgroup(reflection, g)
         assert is_normal(rotations, g)
@@ -158,13 +155,17 @@ class TestStabChain:
     @settings(max_examples=300, deadline=None)
     @given(_generator_sets())
     def test_order_matches_closure_and_sympy(self, case):
+        """Schreier-Sims's chain and the chain read off the closure
+        (`from_elements`) agree with the closure and with sympy."""
         degree, gens = case
-        group, elements = PermGroup(degree, gens), closure(gens, degree)
-        assert group.order == len(elements) == _sympy_order(degree, gens)
-        assert group.elements == elements
+        elements = closure(gens, degree)
+        chains = SiftedGroup(degree, gens), PermGroup.from_elements(degree, elements)
+        for group in chains:
+            assert group.order == len(elements) == _sympy_order(degree, gens)
+            assert group.elements == elements
         rng = random.Random(repr(case))
         for p in (tuple(rng.sample(range(degree), degree)) for _ in range(5)):
-            assert (p in group) == (p in elements)
+            assert [p in group for group in chains] == [p in elements] * 2
 
     def test_identity_cyclic_and_symmetric(self):
         for n in range(1, 9):
@@ -173,12 +174,12 @@ class TestStabChain:
             cases = (([], 1), ([identity(n)], 1), ([shift], n),
                      ([shift, swap], math.factorial(n)))
             for gens, order in cases:
-                assert PermGroup(n, gens).order == order
+                assert SiftedGroup(n, gens).order == order
                 assert _sympy_order(n, gens) == order
 
     def test_add_keeps_only_generators_that_enlarge(self):
         rot = (1, 2, 3, 4, 0)
-        group = PermGroup(5, [identity(5), rot])
+        group = SiftedGroup(5, [identity(5), rot])
         assert group.generators == [rot]
         assert not group.add(compose(rot, rot))
         assert group.add((4, 3, 2, 1, 0))
@@ -189,7 +190,7 @@ class TestStabChain:
 
     def test_add_recomputes_elements(self):
         rot = (1, 2, 3, 4, 0)
-        group = PermGroup(5, [rot])
+        group = SiftedGroup(5, [rot])
         assert group.elements == cyclic(5).elements
         assert not group.add(compose(rot, rot))
         assert group.elements == cyclic(5).elements
@@ -198,9 +199,9 @@ class TestStabChain:
 
     def test_rejects_non_permutations(self):
         with pytest.raises(GroupError):
-            PermGroup(3).add((0, 0, 1))
+            SiftedGroup(3).add((0, 0, 1))
         with pytest.raises(GroupError):
-            PermGroup(3, [(0, 1)])
+            SiftedGroup(3, [(0, 1)])
         with pytest.raises(GroupError, match="not a permutation of degree 2"):
             closure([(0, 0)], 2)
 
@@ -224,16 +225,22 @@ class TestChainAnswersMatchSympy:
     @example((4, [(1, 2, 3, 0), (3, 2, 1, 0)], [(0, 1, 2, 3), (1, 2, 3, 0), (3, 2, 1, 0)], 0))
     def test_subgroup_normal_stabilizer_and_element_sets(self, case):
         degree, gens, sub_gens, point = case
-        group, sub = PermGroup(degree, gens), PermGroup(degree, sub_gens)
+        group, sub = SiftedGroup(degree, gens), SiftedGroup(degree, sub_gens)
         sg, ss = _sympy_perms(degree, gens), _sympy_perms(degree, sub_gens)
-        assert is_subgroup(sub, group) == ss.is_subgroup(sg)
-        if ss.is_subgroup(sg):
-            assert is_normal(sub, group) == ss.is_normal(sg, strict=False)
-        stab = PermGroup(degree, (p for p in group.elements if p[point] == point))
-        assert stab.order == sg.stabilizer(point).order()
+        # The same answers from the chains read off the two closures.
+        listed, listed_sub = (PermGroup.from_elements(degree, closure(x, degree))
+                              for x in (gens, sub_gens))
+        for big, small in ((group, sub), (listed, listed_sub), (group, listed_sub),
+                           (listed, sub)):
+            assert is_subgroup(small, big) == ss.is_subgroup(sg)
+            if ss.is_subgroup(sg):
+                assert is_normal(small, big) == ss.is_normal(sg, strict=False)
+        stab = [p for p in group.elements if p[point] == point]
+        assert (SiftedGroup(degree, stab).order == PermGroup.from_elements(degree, stab).order
+                == sg.stabilizer(point).order())
         # An element set need not be closed; the group built from it is the
         # one it generates.
-        from_set = PermGroup(degree, sub_gens)
+        from_set = SiftedGroup(degree, sub_gens)
         assert from_set.order == ss.order()
         assert from_set.elements == closure(sub_gens, degree)
 
@@ -267,26 +274,10 @@ class TestGroupIsomorphism:
         assert not groups_isomorphic(d4xz2(), direct_product(cyclic(8), cyclic(2)))
 
     def test_profile_triplets_of_order_16(self):
-        """Z4 x Z4, Z4 x| Z4 = <a, b | a^4 = b^4 = 1, bab^-1 = a^-1> and Q8 x Z2
-        share the order profile, so only the generator-image search tells
-        them apart; each is isomorphic to a random conjugate of itself.
-
-        The first two act left-regularly on their 16 elements a^k b^l, point
-        4k + l; Q8 acts left-regularly on +-1, +-i, +-j, +-k, point 4s + x.
-        """
-        def regular(flip):
-            # a^k b^l -> a^(k + 1) b^l, and b a^k b^l = a^(-k if flip else k) b^(l + 1)
-            a = tuple(4 * ((k + 1) % 4) + l for k in range(4) for l in range(4))
-            b = tuple(4 * ((-k if flip else k) % 4) + (l + 1) % 4
-                      for k in range(4) for l in range(4))
-            return PermGroup(16, [a, b])
-
-        def unit(table):  # table[x] = (sign flip, axis) of the unit times axis x
-            return tuple(4 * (s ^ table[x][0]) + table[x][1] for s in range(2) for x in range(4))
-
-        q8 = PermGroup(8, [unit(((0, 1), (1, 0), (0, 3), (1, 2))),   # i
-                           unit(((0, 2), (1, 3), (1, 0), (0, 1)))])  # j
-        groups = [regular(False), regular(True), direct_product(q8, cyclic(2))]
+        """Z4 x Z4, Z4 x| Z4 and Q8 x Z2 share the order profile, so only
+        the generator-image search tells them apart; each is isomorphic to a
+        random conjugate of itself."""
+        groups = [z4_by_z4(False), z4_by_z4(True), direct_product(q8(), cyclic(2))]
         assert [is_abelian(g) for g in groups] == [True, False, False]
         for g in groups:
             assert g.order == 16 and order_profile(g) == {4: 12, 2: 3, 1: 1}
@@ -297,8 +288,8 @@ class TestGroupIsomorphism:
             p = list(range(group.degree))
             rng.shuffle(p)
             p = tuple(p)
-            conjugate = PermGroup(group.degree, [compose(p, compose(g, inverse(p)))
-                                                 for g in group.generators])
+            conjugate = SiftedGroup(group.degree, [compose(p, compose(g, inverse(p)))
+                                                   for g in group.generators])
             assert groups_isomorphic(group, conjugate)
             assert groups_isomorphic(conjugate, group)
 
@@ -311,7 +302,7 @@ class TestGroupIsomorphism:
     def test_guards_at_order_200(self):
         sym6 = [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]  # a 6-cycle and a swap
         with pytest.raises(GroupError, match="guards at order 200"):
-            groups_isomorphic(PermGroup(6, sym6), PermGroup(6, sym6))
+            groups_isomorphic(SiftedGroup(6, sym6), SiftedGroup(6, sym6))
 
 
 class TestActions:
@@ -319,10 +310,10 @@ class TestActions:
         rng = random.Random(11)
         for _ in range(10):
             gens = [tuple(rng.sample(range(6), 6)) for _ in range(2)]
-            g = PermGroup(6, gens)
+            g = SiftedGroup(6, gens)
             for point in range(6):
                 orbit = _orbit([point], gens, lambda x, p: p[x])
-                stab = PermGroup(6, (p for p in g.elements if p[point] == point))
+                stab = SiftedGroup(6, (p for p in g.elements if p[point] == point))
                 assert len(orbit) * stab.order == g.order
 
     def test_edge_action_is_homomorphism(self):
@@ -340,15 +331,15 @@ class TestActions:
 class TestSemidirect:
     def test_d4_as_semidirect_of_rotations_and_reflection(self):
         g = dihedral(4)
-        k = PermGroup(4, [(1, 2, 3, 0)])
-        h = PermGroup(4, [(3, 2, 1, 0)])
+        k = SiftedGroup(4, [(1, 2, 3, 0)])
+        h = SiftedGroup(4, [(3, 2, 1, 0)])
         ok, report = semidirect_certificate(g, k, h)
         assert ok
         assert report["k_normal"] and report["intersection_trivial"]
 
     def test_rejects_wrong_orders(self):
         g = dihedral(4)
-        k = PermGroup(4, [(1, 2, 3, 0)])
+        k = SiftedGroup(4, [(1, 2, 3, 0)])
         ok, report = semidirect_certificate(g, k, k)
         assert not ok
         assert not report["order_product_matches"]

@@ -21,7 +21,6 @@ from levibridge.construction import bridge_census, bridge_graph, goedgebeur_grap
 from levibridge.groups import (
     PermGroup,
     compose,
-    dihedral,
     edge_action,
     groups_isomorphic,
     inverse,
@@ -36,6 +35,8 @@ from levibridge.survey import (
     survey_json,
 )
 from levibridge.twofactors import ALL_ODD, MIXED, pseudo_2fi
+from schreier_sims import (SiftedGroup, cyclic, d4xz2, dihedral, direct_product, pauli, q8,
+                           regular, z3z3, z4_by_z4)
 
 
 class TestSurvey:
@@ -83,7 +84,7 @@ class TestSurvey:
         # generated by (0 2) and (1 3), not the normal Klein subgroup of S4.
         class_144 = next(c for c in bridge_census() if c.aut_order == 144)
         alphas = {s.alpha for s in class_144.specs if s.alpha == s.beta}
-        eight = PermGroup(4, alphas)
+        eight = SiftedGroup(4, alphas)
         assert len(alphas) == 8 and eight.elements == alphas
         assert {(0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1)} <= alphas
         assert groups_isomorphic(eight, dihedral(4))
@@ -184,8 +185,8 @@ def _setwise_stabilizer(group, vertices):
     """Oracle: scan every element for the ones mapping the vertex set onto
     itself, as the structure report did before it read its edge table."""
     key = frozenset(vertices)
-    return PermGroup(group.degree,
-                     (p for p in group.elements if frozenset(p[v] for v in key) == key))
+    return SiftedGroup(group.degree,
+                       (p for p in group.elements if frozenset(p[v] for v in key) == key))
 
 
 def _failed_flags(exc: StructureError) -> set[str]:
@@ -293,6 +294,75 @@ class TestMarkedEdgeTable:
             "levibridge: structural failure: structure analysis failed: ")
         assert "k_regular_on_marked = False" in captured.err
         assert "stabilizers_conjugate = False" in captured.err
+
+
+def _presentation_cases():
+    """Groups of order 16 and 9, by name, each a Schreier-Sims chain."""
+    c2 = cyclic(2)
+    return {
+        "Z16": cyclic(16),
+        "Z8 x Z2": direct_product(cyclic(8), c2),
+        "Z4 x Z4": z4_by_z4(False),
+        "Z4 x Z2 x Z2": direct_product(cyclic(4), c2, c2),
+        "Z2^4": direct_product(c2, c2, c2, c2),
+        "D8": dihedral(8),
+        "D4 x Z2": d4xz2(),
+        "D4 x Z2, regular": regular(d4xz2()),
+        "Q8 x Z2": direct_product(q8(), c2),
+        "Z4 x| Z4": z4_by_z4(True),
+        "Pauli": pauli(),
+        "Z9": cyclic(9),
+        "Z3 x Z3": z3z3(),
+    }
+
+
+class TestPresentationChecks:
+    def test_agree_with_the_isomorphism_oracle(self):
+        """The report's presentation checks read each group's element set
+        as a `from_elements` chain, and a random conjugate of it, as
+        `groups_isomorphic` against the model groups does; only D4 x Z2 and
+        Z3 x Z3 pass."""
+        rng = random.Random(36)
+        passed = set()
+        for name, model in _presentation_cases().items():
+            p = list(range(model.degree))
+            rng.shuffle(p)
+            conjugate = {compose(p, compose(g, inverse(p))) for g in model.elements}
+            for elements in (model.elements, conjugate):
+                group = PermGroup.from_elements(model.degree, elements)
+                assert group.elements == elements, name
+                verdicts = survey._is_d4xz2(group), survey._is_z3xz3(group)
+                assert verdicts == (groups_isomorphic(group, d4xz2()),
+                                    groups_isomorphic(group, z3z3())), name
+                if any(verdicts):
+                    passed.add(name)
+        assert passed == {"D4 x Z2", "D4 x Z2, regular", "Z3 x Z3"}
+
+    def test_an_unclosed_edge_stabilizer_names_its_product(self, monkeypatch):
+        # The first row outside K that moves e claims to fix it instead. The
+        # rows still reach every edge, and K's each edge once, but the 17
+        # rows fixing e do not close: the failure names the first product,
+        # in sorted order, that leaves them.
+        claimed = []
+
+        def corrupt(p, row, real):
+            if not claimed and row[0] != 0 and perm_order(p) not in (1, 3, 9):
+                k = row.index(0)
+                row[0], row[k] = 0, row[0]
+                claimed.append(p)
+            return row
+
+        _patch_rows(monkeypatch, corrupt)
+        with pytest.raises(StructureError) as info:
+            aut_structure()
+        marked, aut = survey._marked_edges_on(goedgebeur_graph())
+        fixers = sorted(p for p in aut.elements
+                        if p in claimed or edge_action(p, tuple(marked))[0] == 0)
+        assert len(claimed) == 1 and len(fixers) == 17
+        a, b = next((a, b) for a, b in itertools.product(fixers, repeat=2)
+                    if compose(a, b) not in fixers)
+        assert str(info.value) == (
+            f"H is not closed: {a} * {b} = {compose(a, b)} lies outside it")
 
 
 class TestRefutation:
